@@ -1,21 +1,37 @@
 // Network-edge claim: the framed wire protocol (PROTOCOL.md) adds transport
-// without changing the answer.  BM_LoopbackSessionThroughput drives the same
+// without changing the answer.  Every benchmark here drives the same
 // persistent-session workload as service_throughput's
 // BM_SessionThroughput_Persistent — kSessions users × kChunks incremental
-// command batches of the Figure-11 Jacobi script — but every request crosses
-// a real TCP loopback socket through nsc::net::Server and nsc::Client;
-// BM_InProcessSessionBaseline is the identical interaction submitted
-// directly, so one report shows the full framing + syscall overhead.  The
-// artifact section verifies the bit-identity contract the comparison rests
-// on (net::deterministicReplyJson over both transports).
+// command batches of the Figure-11 Jacobi script — in one of two shapes,
+// each over both transports, so each pair differs only in transport:
+//
+//   synchronous  one request outstanding per user; a user sends its next
+//                chunk when the previous reply arrived:
+//                BM_LoopbackSessionThroughput (nsc::Client over a real TCP
+//                loopback socket through nsc::net::Server) vs
+//                BM_InProcessSessionSync (one submit().get() per chunk).
+//   pipelined    every chunk of every session is sent before any reply is
+//                read: BM_LoopbackSessionPipelined vs
+//                BM_InProcessSessionBaseline.
+//
+// The artifact section verifies the bit-identity contract the comparison
+// rests on (net::deterministicReplyJson over both transports).
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cstdlib>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "client/client.h"
+#include "net/frame.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "service/service.h"
@@ -69,6 +85,64 @@ svc::SessionCommand chunkCommand(std::uint64_t session,
   command.run = (c == kChunks - 1);
   return command;
 }
+
+// A bare framed connection that can have many requests outstanding
+// (nsc::Client allows one).  Any failure aborts: a bench that loses a reply
+// has no number to report.
+class PipelinedConnection {
+ public:
+  explicit PipelinedConnection(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+      std::abort();
+    }
+  }
+  ~PipelinedConnection() { ::close(fd_); }
+  PipelinedConnection(const PipelinedConnection&) = delete;
+  PipelinedConnection& operator=(const PipelinedConnection&) = delete;
+
+  void send(const svc::Request& request) {
+    net::Frame frame;
+    frame.type = static_cast<std::uint16_t>(net::frameTypeFor(request));
+    frame.request_id = next_id_++;
+    frame.payload = net::requestToJson(request).dump();
+    const std::string bytes = net::encodeFrame(frame);
+    for (std::size_t sent = 0; sent < bytes.size();) {
+      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) std::abort();
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+
+  // The next reply to arrive, decoded.
+  svc::ServiceReply receive() {
+    net::Frame frame;
+    while (reader_.next(frame) != net::FrameReader::Next::kFrame) {
+      char buf[64 * 1024];
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) std::abort();
+      reader_.feed(buf, static_cast<std::size_t>(n));
+    }
+    auto parsed = common::Json::parse(frame.payload);
+    if (!parsed.isOk()) std::abort();
+    auto reply = net::replyFromJson(parsed.value());
+    if (!reply.isOk()) std::abort();
+    return std::move(reply).value();
+  }
+
+ private:
+  int fd_;
+  std::uint64_t next_id_ = 1;
+  net::FrameReader reader_;
+};
 
 // One session over the socket and the same session in-process; the replies
 // must be bit-identical modulo the documented placement/timing fields.
@@ -164,9 +238,38 @@ void BM_LoopbackSessionThroughput(benchmark::State& state) {
 BENCHMARK(BM_LoopbackSessionThroughput)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// BM_LoopbackSessionThroughput's interaction without the socket: kSessions
+// user threads, each waiting for every reply before submitting its next
+// chunk.
+void BM_InProcessSessionSync(benchmark::State& state) {
+  sim::CompiledProgramCache cache;
+  svc::WorkbenchService service(benchServiceOptions(cache));
+  const std::vector<std::string> chunks = figure11Chunks();
+  for (auto _ : state) {
+    std::vector<std::thread> users;
+    users.reserve(kSessions);
+    for (int s = 0; s < kSessions; ++s) {
+      users.emplace_back([&service, &chunks] {
+        const std::uint64_t id =
+            service.submit(svc::OpenSession{}).get().stats.session;
+        for (int c = 0; c < kChunks; ++c) {
+          benchmark::DoNotOptimize(
+              service.submit(chunkCommand(id, chunks, c)).get()
+                  .run.total_cycles);
+        }
+        service.submit(svc::CloseSession{id}).get();
+      });
+    }
+    for (std::thread& user : users) user.join();
+  }
+  state.SetItemsProcessed(state.iterations() * kSessions * kChunks);
+}
+BENCHMARK(BM_InProcessSessionSync)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // The same interaction submitted straight to the service (mirrors
-// service_throughput's BM_SessionThroughput_Persistent) — the baseline the
-// loopback number is diffed against.
+// service_throughput's BM_SessionThroughput_Persistent), pipelined: every
+// chunk of every session is submitted before any reply is awaited.
 void BM_InProcessSessionBaseline(benchmark::State& state) {
   sim::CompiledProgramCache cache;
   svc::WorkbenchService service(benchServiceOptions(cache));
@@ -196,6 +299,50 @@ void BM_InProcessSessionBaseline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSessions * kChunks);
 }
 BENCHMARK(BM_InProcessSessionBaseline)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// BM_InProcessSessionBaseline's interaction over the socket: one connection
+// per session, all driven from this thread; sessions open and close one
+// round trip at a time, and every chunk frame is written before any reply
+// is read.
+void BM_LoopbackSessionPipelined(benchmark::State& state) {
+  sim::CompiledProgramCache cache;
+  svc::WorkbenchService service(benchServiceOptions(cache));
+  net::Server server(service);
+  if (!server.start().isOk()) {
+    state.SkipWithError("loopback server failed to start");
+    return;
+  }
+  const std::vector<std::string> chunks = figure11Chunks();
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<PipelinedConnection>> connections;
+    std::vector<std::uint64_t> ids;
+    for (int s = 0; s < kSessions; ++s) {
+      connections.push_back(
+          std::make_unique<PipelinedConnection>(server.port()));
+      connections.back()->send(svc::OpenSession{});
+      ids.push_back(connections.back()->receive().stats.session);
+    }
+    for (int c = 0; c < kChunks; ++c) {
+      for (int s = 0; s < kSessions; ++s) {
+        const auto i = static_cast<std::size_t>(s);
+        connections[i]->send(chunkCommand(ids[i], chunks, c));
+      }
+    }
+    for (auto& connection : connections) {
+      for (int c = 0; c < kChunks; ++c) {
+        benchmark::DoNotOptimize(connection->receive().run.total_cycles);
+      }
+    }
+    for (std::size_t i = 0; i < connections.size(); ++i) {
+      connections[i]->send(svc::CloseSession{ids[i]});
+      connections[i]->receive();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kSessions * kChunks);
+  server.stop();
+}
+BENCHMARK(BM_LoopbackSessionPipelined)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

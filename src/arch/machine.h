@@ -22,8 +22,8 @@ namespace nsc::arch {
 
 struct MachineConfig {
   // ALS composition.  4*1 + 8*2 + 4*3 = 32 FUs.  The paper gives the total
-  // (32) but not the split; this default is configurable and recorded in
-  // DESIGN.md.
+  // (32) but not the split; this default split is a modelling choice of
+  // this reproduction, configurable here.
   int num_singlets = 4;
   int num_doublets = 8;
   int num_triplets = 4;

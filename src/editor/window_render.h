@@ -1,7 +1,7 @@
 // Renders the editor's display window (Figure 5) and its contents —
 // icons, pads, wires, labels, the control panel, and the message strip —
 // to an ASCII canvas or SVG.  This substitutes for the SunView bitmap
-// display (see DESIGN.md, Section 2).
+// display (README.md, "Layer map": the headless editor and renderer).
 #pragma once
 
 #include <string>

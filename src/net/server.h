@@ -1,14 +1,28 @@
 // The network edge: a TCP listener that speaks the framed wire protocol
-// (net/frame.h, net/wire.h) and maps frames onto WorkbenchService futures.
+// (net/frame.h, net/wire.h) and maps frames onto WorkbenchService requests.
 //
 // Threading model: ONE server thread runs a poll() loop over the listening
-// socket, a self-pipe (stop wakeup), and every live connection.  The server
-// thread never executes a request — it decodes frames, submits them to the
-// service (whose shard threads do the work), and each tick scans the
-// pending futures with wait_for(0), encoding replies onto the owning
-// connection's write buffer *in settlement order*.  Requests pipelined on
-// one connection therefore come back out of order when a later one settles
-// first; the request id ties each reply to its request.
+// socket, a self-pipe, and every live connection.  It reads and decodes
+// frames and submits each request with a completion callback; it never
+// executes a request, and it does not encode replies.  The callback runs on
+// whichever thread settles the request — a shard thread, the server thread
+// for an admission-time refusal, or the thread inside the service's stop()
+// — and carries the reply the whole way: it encodes the reply frame there
+// and, when nothing is queued ahead of it, sends it straight to the socket.
+// Only bytes the socket does not take stay in the connection's outbox, and
+// then the callback wakes the server thread through the self-pipe to wait
+// for POLLOUT.  Every frame for a connection, protocol errors included, is
+// appended and sent under that connection's lock, so replies leave in
+// settlement order: requests pipelined on one connection come back out of
+// order when a later one settles first; the request id ties each reply to
+// its request.
+//
+// Lifetime: a callback can run after its connection closed, after stop()
+// gave up at its drain deadline, or after the Server is destroyed (the
+// service's stop() settles whatever it still holds).  So it owns shares of
+// everything it touches — the connection state, the wake pipe, the stats —
+// and never the Server itself or a bare fd number: a connection's socket
+// is closed under its lock, where the callback looks before sending.
 //
 // Error discipline (tests/test_net.cpp drives every branch):
 //
@@ -19,11 +33,12 @@
 //   * bad version / unknown type / unparseable JSON / type-invalid request
 //     — framing is intact; the connection gets a kProtocolError frame
 //     carrying the offending frame's request id and stays open.
-//   * A client that disconnects with requests in flight orphans its
-//     pending futures: the server adopts them and keeps polling until they
-//     settle (the service promises every admitted job settles), so a torn
-//     connection never abandons a shard's work mid-flight.
-//     ServerStats::orphans_settled is the witness.
+//   * A client that disconnects with requests in flight abandons them: the
+//     server closes the socket at once and counts the requests as orphans.
+//     They still settle service-side (the service answers every admitted
+//     request), so a torn connection never abandons a shard's work
+//     mid-flight; their replies are dropped.  ServerStats::orphans_settled
+//     is the witness.
 //
 // stop() is a graceful drain: admission of new connections and frames
 // ends, pending replies are written out, then sockets close.
@@ -31,9 +46,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,7 +74,7 @@ struct ServerStats {
   std::uint64_t frames_received = 0;
   std::uint64_t replies_sent = 0;
   std::uint64_t protocol_errors = 0;  // kProtocolError frames sent
-  std::uint64_t orphans_adopted = 0;  // futures torn connections left behind
+  std::uint64_t orphans_adopted = 0;  // requests torn connections left behind
   std::uint64_t orphans_settled = 0;  // ... that have since settled
 };
 
@@ -84,46 +97,25 @@ class Server {
   ServerStats stats() const;
 
  private:
-  struct Pending {
-    std::uint64_t request_id = 0;
-    std::future<svc::ServiceReply> future;
-  };
-  struct Connection {
-    int fd = -1;
-    FrameReader reader;
-    std::string outbox;            // encoded frames awaiting send
-    std::vector<Pending> pending;  // submitted, not yet settled
-    bool draining = false;         // no more reads; close once flushed
-    bool peer_eof = false;
-
-    explicit Connection(std::size_t max_payload) : reader(max_payload) {}
-  };
+  struct Shared;      // wake pipe + stats, shared with callbacks
+  struct Connection;  // one socket, shared with its requests' callbacks
 
   void run();
-  void handleReadable(Connection& conn);
-  void handleFrame(Connection& conn, Frame&& frame);
+  void handleReadable(const std::shared_ptr<Connection>& conn);
+  void handleFrame(const std::shared_ptr<Connection>& conn, Frame&& frame);
   void sendProtocolError(Connection& conn, std::uint64_t request_id,
                          const char* code, std::string message);
-  // Moves settled futures out of pending lists into encoded reply frames.
-  void settleReplies(Connection& conn);
-  bool flushOutbox(Connection& conn);  // false: connection is dead
   void closeConnection(std::size_t index);
 
   svc::WorkbenchService& service_;
   const ServerOptions options_;
+  const std::shared_ptr<Shared> shared_;
   std::atomic<std::uint16_t> port_{0};
   int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
   std::thread thread_;
-  std::atomic<bool> stopping_{false};
   bool started_ = false;
 
-  std::vector<std::unique_ptr<Connection>> connections_;
-  std::vector<Pending> orphans_;  // futures of disconnected clients
-
-  mutable std::mutex stats_mu_;
-  ServerStats stats_;
+  std::vector<std::shared_ptr<Connection>> connections_;  // server thread
 };
 
 }  // namespace nsc::net

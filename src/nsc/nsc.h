@@ -2,8 +2,8 @@
 //
 // A reproduction of "A Visual Programming Environment for the
 // Navier-Stokes Computer" (Tomboulian, Crockett, Middleton; ICASE 88-6 /
-// ICPP 1988).  See README.md for a tour and DESIGN.md for the system
-// inventory.
+// ICPP 1988).  See README.md for a tour; its "Layer map" section is the
+// system inventory.
 #pragma once
 
 #include "arch/machine.h"          // NSC machine model and microword spec

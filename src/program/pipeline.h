@@ -76,7 +76,7 @@ struct Connection {
 // advancing by `stride2` — the access pattern CFD boundary faces need.
 // The paper only says independent DMA controllers "pump data through the
 // pipelines"; two-level addressing is the standard capability for such
-// engines and is recorded as a modelling choice in DESIGN.md.
+// engines and is a modelling choice of this reproduction.
 struct DmaSpec {
   std::string variable;      // symbolic annotation, optional
   std::uint64_t base = 0;    // word offset within the plane/cache buffer

@@ -12,7 +12,7 @@
 // the earlier input to make that hold.  Both the checker (validation) and
 // the microcode generator (automatic insertion) build on this module.
 //
-// Model (documented in DESIGN.md):
+// Model:
 //   - plane/cache reads produce element 0 at cycle 0;
 //   - a switch hop costs 1 cycle; the hardwired ALS chain path costs 0;
 //   - a functional unit adds opInfo(op).latency cycles;

@@ -25,7 +25,7 @@
 // accepted and never abandons a caller's future.  tryPopAny() is the
 // companion for the ungraceful case: after close(), an owner with no
 // consumers left drains remaining items — *ignoring* affinity pins — so
-// each one's promise can still be settled.
+// each one can still be answered.
 //
 // Chaos harness: an optional exec::FaultInjector adds seeded scheduling
 // delays around push/pop (FaultSite::kQueuePush / kQueuePop), perturbing
@@ -99,7 +99,7 @@ class BoundedQueue {
   // except that batch-class items in kShed mode return kShed immediately
   // once the depth has reached the watermark.  `item` is consumed
   // (moved-from) only on kAdmitted; on kShed / kClosed the caller keeps it
-  // — the service needs the refused request's promise to reply Rejected.
+  // — the service needs the refused request's callback to reply Rejected.
   PushResult push(T& item, Ticket ticket = {}) {
     if (injector_ != nullptr) {
       injector_->maybeDelay(exec::FaultSite::kQueuePush);
@@ -153,7 +153,7 @@ class BoundedQueue {
   // Non-blocking pop of the oldest item regardless of affinity.  For the
   // owner's post-close settle-drain: pop(-1) honours affinity pins, so a
   // service stopped before its shards ever ran would leave pinned items —
-  // and their promises — stranded without this.
+  // and their callers — stranded without this.
   std::optional<T> tryPopAny() {
     std::unique_lock<std::mutex> lock(mu_);
     if (items_.empty()) return std::nullopt;

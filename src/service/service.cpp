@@ -13,12 +13,14 @@ namespace {
 
 std::int64_t nowUs() { return monotonicNowUs(); }
 
-std::future<ServiceReply> readyError(std::string message) {
-  std::promise<ServiceReply> promise;
+// A reply for a request that never executed.
+ServiceReply refusal(std::string message, Reject reason = Reject::kNone,
+                     std::uint64_t session = 0) {
   ServiceReply reply;
   reply.status = common::Status::error(std::move(message));
-  promise.set_value(std::move(reply));
-  return promise.get_future();
+  reply.stats.rejected = reason;
+  reply.stats.session = session;
+  return reply;
 }
 
 // The class a request is admitted at when the caller does not say:
@@ -70,54 +72,71 @@ void WorkbenchService::start() {
 void WorkbenchService::stop() {
   stopped_.store(true, std::memory_order_relaxed);
   queue_.close();
-  // Serialize the join phase: stop() racing the destructor (or another
-  // stop()) must not double-join a shard thread.
-  std::lock_guard<std::mutex> lock(start_mu_);
-  for (auto& shard : shards_) {
-    if (shard->thread.joinable()) shard->thread.join();
-  }
-  // Settle-all-promises: the shards are gone (or never ran — pop(-1)
-  // honours affinity pins, so a service stopped before start() leaves
-  // pinned session jobs queued).  Every remaining job resolves with an
-  // error reply; no caller is ever left holding an unsatisfiable future.
-  while (std::optional<Job> job = queue_.tryPopAny()) {
-    if (std::holds_alternative<OpenSession>(job->request)) {
-      // Drop the core the admission path reserved — the id never reached
-      // the caller.
-      sessions_.close(job->session);
-      job->session = 0;
+  std::vector<Job> unserved;
+  {
+    // Serialize the join phase: stop() racing the destructor (or another
+    // stop()) must not double-join a shard thread.
+    std::lock_guard<std::mutex> lock(start_mu_);
+    for (auto& shard : shards_) {
+      if (shard->thread.joinable()) shard->thread.join();
     }
-    ServiceReply reply;
-    reply.status = common::Status::error("service stopped before dispatch");
-    reply.stats.session = job->session;
-    job->promise.set_value(std::move(reply));
+    // The shards are gone (or never ran — pop(-1) honours affinity pins,
+    // so a service stopped before start() leaves pinned session jobs
+    // queued).
+    while (std::optional<Job> job = queue_.tryPopAny()) {
+      if (std::holds_alternative<OpenSession>(job->request)) {
+        // Drop the core the admission path reserved — the id never reached
+        // the caller.
+        sessions_.close(job->session);
+        job->session = 0;
+      }
+      unserved.push_back(std::move(*job));
+    }
+    // Graceful durability: flush every open session to its checkpoint file
+    // so the next service incarnation pointed at the same directory adopts
+    // it (SessionTable's constructor scan).
+    if (store_ != nullptr) sessions_.flushAll();
   }
-  // Graceful durability: flush every open session to its checkpoint file
-  // so the next service incarnation pointed at the same directory adopts
-  // it (SessionTable's constructor scan).
-  if (store_ != nullptr) sessions_.flushAll();
+  // Every remaining job settles with an error reply, so no caller is ever
+  // left waiting for an answer — outside the lock, since a callback may
+  // call back into this service.
+  for (Job& job : unserved) {
+    settle(job.done, refusal("service stopped before dispatch",
+                             Reject::kNone, job.session));
+  }
 }
 
-std::future<ServiceReply> WorkbenchService::readyReject(Reject reason,
-                                                        std::string message,
-                                                        std::uint64_t session) {
-  std::promise<ServiceReply> promise;
-  ServiceReply reply;
-  reply.status = common::Status::error(std::move(message));
-  reply.stats.rejected = reason;
-  reply.stats.session = session;
-  promise.set_value(std::move(reply));
-  return promise.get_future();
+void WorkbenchService::settle(const ReplyCallback& done, ServiceReply reply) {
+  if (!done) return;
+  try {
+    done(std::move(reply));
+  } catch (...) {
+    // Unwinding a shard thread would leave every later job unsettled; the
+    // count is the record of a caller's lost reply.
+    callbacks_failed_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 std::future<ServiceReply> WorkbenchService::submit(Request request,
                                                    Admission admission) {
+  auto promise = std::make_shared<std::promise<ServiceReply>>();
+  std::future<ServiceReply> future = promise->get_future();
+  submit(std::move(request), admission, [promise](ServiceReply reply) {
+    promise->set_value(std::move(reply));
+  });
+  return future;
+}
+
+void WorkbenchService::submit(Request request, Admission admission,
+                              ReplyCallback done) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   if (stopped_.load(std::memory_order_relaxed)) {
-    return readyError("service stopped");
+    settle(done, refusal("service stopped"));
+    return;
   }
 
   Job job;
+  job.done = std::move(done);
   job.priority = admission.priority.value_or(defaultPriority(request));
   job.deadline_us = admission.deadline_us;
 
@@ -132,9 +151,11 @@ std::future<ServiceReply> WorkbenchService::submit(Request request,
     const auto opened = sessions_.open(options_.max_sessions, nowUs());
     if (!opened.has_value()) {
       rejected_session_.fetch_add(1, std::memory_order_relaxed);
-      return readyReject(Reject::kSessionLimit,
-                         common::strFormat("session limit (%zu) reached",
-                                           options_.max_sessions));
+      settle(job.done,
+             refusal(common::strFormat("session limit (%zu) reached",
+                                       options_.max_sessions),
+                     Reject::kSessionLimit));
+      return;
     }
     stateful = true;
     affinity = opened->shard;
@@ -150,17 +171,17 @@ std::future<ServiceReply> WorkbenchService::submit(Request request,
   }
   if (stateful && affinity < 0) {
     rejected_session_.fetch_add(1, std::memory_order_relaxed);
-    return readyReject(
-        Reject::kUnknownSession,
-        common::strFormat("unknown session %llu",
-                          static_cast<unsigned long long>(job.session)),
-        job.session);
+    settle(job.done,
+           refusal(common::strFormat(
+                       "unknown session %llu",
+                       static_cast<unsigned long long>(job.session)),
+                   Reject::kUnknownSession, job.session));
+    return;
   }
 
   job.request = std::move(request);
   job.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
   job.admitted_us = nowUs();
-  std::future<ServiceReply> future = job.promise.get_future();
 
   Ticket ticket;
   ticket.priority = job.priority;
@@ -172,20 +193,21 @@ std::future<ServiceReply> WorkbenchService::submit(Request request,
   switch (queue_.push(job, ticket)) {
     case PushResult::kAdmitted:
       admitted_.fetch_add(1, std::memory_order_relaxed);
-      return future;
+      return;
     case PushResult::kShed:
       // Overload watermark: batch work is refused instead of blocked.  An
       // OpenSession is never batch by default, but a caller can mark one.
       shed_overload_.fetch_add(1, std::memory_order_relaxed);
       if (reserved_here) sessions_.close(session);
-      return readyReject(Reject::kOverload, "shed: queue over watermark",
-                         session);
+      settle(job.done, refusal("shed: queue over watermark", Reject::kOverload,
+                               session));
+      return;
     case PushResult::kClosed:
       // Closed while we were blocked on admission.
       if (reserved_here) sessions_.close(session);
-      return readyError("service stopped");
+      settle(job.done, refusal("service stopped"));
+      return;
   }
-  return readyError("unreachable");
 }
 
 ShardStats WorkbenchService::shardStats(int shard) const {
@@ -201,6 +223,7 @@ AdmissionStats WorkbenchService::admissionStats() const {
   stats.shed_overload = shed_overload_.load(std::memory_order_relaxed);
   stats.rejected_session = rejected_session_.load(std::memory_order_relaxed);
   stats.rejected_program = rejected_program_.load(std::memory_order_relaxed);
+  stats.callbacks_failed = callbacks_failed_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -235,13 +258,11 @@ void WorkbenchService::shardLoop(int shard_index) {
       // the queue, so executing it would waste shard time on an answer the
       // caller has given up on.  A shed OpenSession drops the core it
       // reserved at admission — the caller never learns the id.
-      reply.status = common::Status::error("deadline expired before dispatch");
-      reply.stats.rejected = Reject::kDeadline;
-      reply.stats.session = job->session;
-      if (std::holds_alternative<OpenSession>(job->request)) {
-        sessions_.close(job->session);
-        reply.stats.session = 0;  // the id was never handed out
-      }
+      const bool opened_here =
+          std::holds_alternative<OpenSession>(job->request);
+      if (opened_here) sessions_.close(job->session);
+      reply = refusal("deadline expired before dispatch", Reject::kDeadline,
+                      opened_here ? 0 : job->session);
     } else {
       reply = serveWithRecovery(shard, shard_index, *job);
     }
@@ -294,7 +315,7 @@ void WorkbenchService::shardLoop(int shard_index) {
       shard.stats.spill_failures += swept.write_failures;
       if (reply.stats.restored_from_disk) ++shard.stats.sessions_restored;
     }
-    job->promise.set_value(std::move(reply));
+    settle(job->done, std::move(reply));
   }
 }
 

@@ -38,6 +38,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -175,8 +176,8 @@ enum class Reject {
                     // an engine (reply.verify carries the diagnostics)
   kInternal,        // dispatch raised an exception and recovery (if
                     // configured) could not produce a trustworthy reply;
-                    // the promise is still settled — exceptions never kill
-                    // a shard thread or abandon a future
+                    // the request still settles — exceptions never kill
+                    // a shard thread or leave a caller unanswered
 };
 
 struct RequestStats {
@@ -251,6 +252,14 @@ struct ServiceReply {
   bool complete_ = false;
 };
 
+// Receives one request's reply.  The service runs it exactly once per
+// submit(), on whichever thread settles the request: a shard thread, the
+// submitting thread for an admission-time refusal, or the thread inside
+// stop().  A shard serves nothing else while it runs, so it should be
+// brief; anything it throws stops at the service and is counted in
+// AdmissionStats::callbacks_failed.
+using ReplyCallback = std::function<void(ServiceReply)>;
+
 // Per-shard serving counters (monotonic over the service lifetime).
 struct ShardStats {
   std::uint64_t requests = 0;
@@ -288,6 +297,9 @@ struct AdmissionStats {
   // Programs refused by the static-verification gate (Reject::kInvalidProgram)
   // after compiling but before any engine dispatch.
   std::uint64_t rejected_program = 0;
+  // Reply callbacks that threw.  The exception stops at the service so the
+  // settling thread survives; that caller's reply is lost.
+  std::uint64_t callbacks_failed = 0;
 };
 
 // Durable-session and failure-recovery knobs.  Both default off: with the
@@ -350,17 +362,21 @@ class WorkbenchService {
 
   // Admits a request; blocks while the queue is full (backpressure),
   // except batch-class work past the shed watermark in kShed mode, which
-  // resolves immediately with a Rejected reply.  The future resolves when
-  // a shard has served (or shed) the request.  After stop(), returns an
-  // already-ready reply whose status is an error.
+  // is refused at once with a Rejected reply.  `done` receives the reply
+  // when a shard has served (or shed) the request; a refusal at admission
+  // (and any submit after stop(), whose reply status is an error) runs it
+  // before submit() returns.  An empty `done` discards the reply.
+  void submit(Request request, Admission admission, ReplyCallback done);
+
+  // The same, with the reply delivered through a future.
   std::future<ServiceReply> submit(Request request, Admission admission = {});
 
   // Closes admission, serves everything already admitted, joins the shard
   // threads, settles any job the shards never popped (a never-start()ed
   // service leaves affinity-pinned jobs in the queue) with an error reply
-  // — no future is ever abandoned — and, when evict-to-disk is on, flushes
-  // every open session to its checkpoint file.  Idempotent; the destructor
-  // calls it.
+  // — no request is ever left unanswered — and, when evict-to-disk is on,
+  // flushes every open session to its checkpoint file.  Idempotent; the
+  // destructor calls it.
   void stop();
 
   int shards() const { return static_cast<int>(shards_.size()); }
@@ -377,7 +393,7 @@ class WorkbenchService {
  private:
   struct Job {
     Request request;
-    std::promise<ServiceReply> promise;
+    ReplyCallback done;
     std::uint64_t sequence = 0;
     Priority priority = Priority::kInteractive;
     std::int64_t admitted_us = 0;  // steady-clock stamp at admission
@@ -408,8 +424,8 @@ class WorkbenchService {
   // the reply with Reject::kInvalidProgram + the report and returns false.
   bool admitCompiled(const std::shared_ptr<const sim::CompiledProgram>& program,
                      ServiceReply& reply);
-  std::future<ServiceReply> readyReject(Reject reason, std::string message,
-                                        std::uint64_t session = 0);
+  // Runs a job's callback: the one place a reply leaves the service.
+  void settle(const ReplyCallback& done, ServiceReply reply);
   ServiceReply serve(Shard& shard, int shard_index, Job& job);
   void serveOne(WorkbenchCore& core, const SubmitSession& request,
                 ServiceReply& reply);
@@ -437,6 +453,7 @@ class WorkbenchService {
   std::atomic<std::uint64_t> shed_overload_{0};
   std::atomic<std::uint64_t> rejected_session_{0};
   std::atomic<std::uint64_t> rejected_program_{0};
+  std::atomic<std::uint64_t> callbacks_failed_{0};
   std::mutex start_mu_;  // serializes start() and the join phase of stop()
   bool started_ = false;
 

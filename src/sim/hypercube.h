@@ -3,7 +3,8 @@
 // (paper, Sections 1-2).  The router's internals were never published; we
 // model dimension-ordered (e-cube) wormhole routing with a startup cost,
 // a per-hop cost, and a per-word streaming cost — the standard model for
-// 1980s hypercubes — and document the parameters in DESIGN.md.
+// 1980s hypercubes.  RouterOptions below states the model and its
+// parameters.
 //
 // Nodes execute their own microcode programs independently (each node has
 // its own sequencer); the system tracks a phase-synchronous makespan:
@@ -42,6 +43,20 @@ namespace nsc::sim {
 
 class CompiledProgramCache;
 
+// The router cost model, in node clock cycles.  A message of n words from
+// node s to node t corrects the differing address bits lowest first
+// (e-cube order, deadlock-free), so it crosses popcount(s ^ t) links.
+// Wormhole switching moves the header across those links one after
+// another while the body streams behind it, so one message costs
+//
+//   message_startup_cycles + hops * hop_latency_cycles
+//       + floor(n / words_per_cycle)
+//
+// and a message to the sending node itself costs nothing.  Messages into
+// one node serialize at its receiving end; an exchange phase costs the
+// largest such per-node sum, added to SystemStats::comm_cycles.  The paper
+// gives no router figures, so the defaults are modelling choices; the
+// RunSystemPhases request can override all three.
 struct RouterOptions {
   std::uint64_t message_startup_cycles = 32;
   std::uint64_t hop_latency_cycles = 8;

@@ -1,8 +1,9 @@
 // NodeSim: cycle-level simulator of one Navier-Stokes Computer node.
 //
 // The NSC was never completed; this simulator is the substitute backend
-// (see DESIGN.md, Section 2).  It executes the microcode produced by
-// mc::Generator — decoding the same bit fields — and models, per cycle:
+// (README.md, "Node execution pipeline").  It executes the microcode
+// produced by mc::Generator — decoding the same bit fields — and models,
+// per cycle:
 //
 //   * 32 functional units with per-op pipeline latencies, register-file
 //     constant supply, circular-queue delays, and accumulator feedback;

@@ -1,5 +1,6 @@
 // The network edge: frame codec, wire JSON codecs, the poll-loop server's
-// protocol-error discipline, torn-connection future settlement, the
+// protocol-error discipline, replies settling on torn connections and after
+// the server is gone, reply delivery without poll-timeout stalls, the
 // end-to-end transport-fidelity golden, and the docs/PROTOCOL.md lockstep
 // check (the doc is normative; this suite fails when code and doc drift).
 #include <arpa/inet.h>
@@ -569,7 +570,7 @@ TEST_F(ServerTest, MalformedStormLeavesOtherConnectionsUnaffected) {
 TEST(ServerOrphanTest, TornConnectionMidRequestStillSettlesTheFuture) {
   // A service that admits but does not serve until start(): the request is
   // *guaranteed* still in flight when the connection tears, so the server
-  // must adopt its future (no timing luck involved).
+  // must count it as an orphan (no timing luck involved).
   svc::ServiceOptions options;
   options.shards = 1;
   options.start = false;
@@ -592,12 +593,12 @@ TEST(ServerOrphanTest, TornConnectionMidRequestStillSettlesTheFuture) {
   }
   EXPECT_EQ(server.stats().orphans_settled, 0u);  // still in flight
 
-  // Let the service run: the adopted future must settle — the admitted
+  // Let the service run: the orphaned request must settle — the admitted
   // job is never abandoned, and the server keeps serving afterwards.
   service.start();
   while (server.stats().orphans_settled < 1) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "orphaned future never settled";
+        << "orphaned request never settled";
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
@@ -608,6 +609,102 @@ TEST(ServerOrphanTest, TornConnectionMidRequestStillSettlesTheFuture) {
   ASSERT_TRUE(probe.readFrame(reply));
   EXPECT_EQ(reply.request_id, 32u);
   server.stop();
+}
+
+TEST(ServerLifetimeTest, ReplySettlingAfterTheServerIsDestroyedIsDropped) {
+  // nsc_serve stops its server before its service, and the service's stop()
+  // settles whatever it still holds: the completion callback then runs with
+  // no Server left, and may touch only state it owns a share of.
+  svc::ServiceOptions options;
+  options.shards = 1;
+  options.start = false;
+  svc::WorkbenchService service(options);
+  auto server = std::make_unique<net::Server>(
+      service, net::ServerOptions{.drain_timeout_ms = 0});
+  ASSERT_TRUE(server->start().isOk());
+
+  RawClient client(server->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.sendBytes(submitFrame(51, "pipeline \"late\"\n")));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (service.queueDepth() < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "request never reached the service";
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+
+  // No drain budget: the socket closes with the request still in flight.
+  server->stop();
+  EXPECT_EQ(server->stats().orphans_adopted, 1u);
+  EXPECT_EQ(server->stats().orphans_settled, 0u);
+  server.reset();
+  EXPECT_TRUE(client.readEof());
+
+  service.start();  // the job is served and settles now
+  service.stop();   // joins the shard, so its callback has run
+  EXPECT_EQ(service.shardStats(0).requests, 1u);
+}
+
+TEST_F(ServerTest, SequentialCallsNeverWaitForTheIdlePollTimeout) {
+  // The thread that settles a reply sends it (or wakes the server thread).
+  // A settle that did neither would leave its reply to the 50 ms idle poll
+  // timeout, and these 20 calls would take a second.
+  ClientOptions options;
+  options.port = server_->port();
+  Client client(options);
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 10; ++i) {
+    auto opened = client.openSession();
+    ASSERT_TRUE(opened.isOk()) << opened.message();
+    auto closed = client.closeSession(opened.value().stats.session);
+    ASSERT_TRUE(closed.isOk()) << closed.message();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));
+}
+
+TEST_F(ServerTest, ReplyLargerThanTheSocketBufferIsFinishedByPollOut) {
+  // The client reads nothing until both replies settled.  A loopback send
+  // buffer grows to about 4 MiB (the Linux tcp_wmem default cap), so the
+  // settling thread can send only part of the 8 MiB reply; the server
+  // thread must finish it on POLLOUT, and the small reply queues behind or
+  // ahead of it whole.  Reading both frames intact proves the stream was
+  // neither cut nor interleaved.
+  RawClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  constexpr std::uint64_t kWords = 1u << 19;  // 16 hex digits each
+  svc::GenerateAndRun big;
+  big.script = "pipeline \"big\"\n";
+  big.outputs = {svc::PlaneRange{0, 0, kWords}};
+  net::Frame frame;
+  frame.type = static_cast<std::uint16_t>(net::FrameType::kGenerateAndRun);
+  frame.request_id = 61;
+  frame.payload = net::requestToJson(big).dump();
+  std::string bytes = net::encodeFrame(frame);
+  bytes += submitFrame(62, "# small\n");
+  ASSERT_TRUE(client.sendBytes(bytes));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (server_->stats().replies_sent < 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "replies never settled";
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+
+  bool saw_big = false, saw_small = false;
+  for (int i = 0; i < 2; ++i) {
+    net::Frame reply;
+    ASSERT_TRUE(client.readFrame(reply));
+    ASSERT_EQ(reply.type, static_cast<std::uint16_t>(net::FrameType::kReply));
+    if (reply.request_id == 61) {
+      saw_big = true;
+      EXPECT_GT(reply.payload.size(), 16 * kWords);
+    }
+    if (reply.request_id == 62) saw_small = true;
+  }
+  EXPECT_TRUE(saw_big);
+  EXPECT_TRUE(saw_small);
 }
 
 // ---------------------------------------------------------------------------

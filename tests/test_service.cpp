@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1089,6 +1091,77 @@ TEST(ServiceTest, OverloadShedsBatchWhileInteractiveCompletes) {
   EXPECT_EQ(admission.shed_overload, 1u);
   EXPECT_EQ(admission.admitted, 4u);
   EXPECT_EQ(admission.submitted, 5u);
+}
+
+TEST(ServiceTest, CallbackRunsOncePerRequestOnEverySettlePath) {
+  ServiceOptions options;
+  options.shards = 1;
+  options.max_sessions = 1;
+  options.admission.overload = AdmissionPolicy::Overload::kShed;
+  options.admission.shed_watermark = 1;
+  options.start = false;
+  WorkbenchService service(options);
+
+  struct Settled {
+    int calls = 0;
+    std::thread::id thread;
+    ServiceReply reply;
+  };
+  std::mutex mu;
+  std::vector<Settled> settled(7);
+  auto record = [&](std::size_t tag) {
+    return [&, tag](ServiceReply reply) {
+      std::lock_guard<std::mutex> lock(mu);
+      ++settled[tag].calls;
+      settled[tag].thread = std::this_thread::get_id();
+      settled[tag].reply = std::move(reply);
+    };
+  };
+  const std::string script = tripleScript(2.0);
+  service.submit(SubmitSession{script}, {}, record(0));      // queued
+  service.submit(RunEnsemble{script, 2}, {}, record(1));     // shed
+  service.submit(CloseSession{777}, {}, record(2));          // unknown
+  service.submit(OpenSession{}, {}, record(3));              // queued
+  service.submit(OpenSession{}, {}, record(4));              // over limit
+  service.submit(SubmitSession{script}, {}, [](ServiceReply) {
+    throw std::runtime_error("a caller's bug");
+  });
+  {
+    // Refusals at admission ran before submit() returned, on this thread.
+    std::lock_guard<std::mutex> lock(mu);
+    for (std::size_t tag : {1u, 2u, 4u}) {
+      EXPECT_EQ(settled[tag].calls, 1) << tag;
+      EXPECT_EQ(settled[tag].thread, std::this_thread::get_id()) << tag;
+    }
+    EXPECT_EQ(settled[1].reply.stats.rejected, Reject::kOverload);
+    EXPECT_EQ(settled[2].reply.stats.rejected, Reject::kUnknownSession);
+    EXPECT_EQ(settled[4].reply.stats.rejected, Reject::kSessionLimit);
+    EXPECT_EQ(settled[0].calls, 0);
+  }
+
+  // The shard survives the throwing callback and serves what follows it.
+  service.start();
+  EXPECT_TRUE(service.submit(SubmitSession{script}).get().ok());
+  EXPECT_EQ(service.admissionStats().callbacks_failed, 1u);
+  service.stop();
+  service.submit(SubmitSession{script}, {}, record(5));  // after stop()
+
+  // Never served: stop() settles it on the stopping thread.
+  WorkbenchService idle(options);
+  idle.submit(SubmitSession{script}, {}, record(6));
+  idle.stop();
+
+  std::lock_guard<std::mutex> lock(mu);
+  for (std::size_t tag = 0; tag < settled.size(); ++tag) {
+    EXPECT_EQ(settled[tag].calls, 1) << tag;
+  }
+  EXPECT_TRUE(settled[0].reply.ok());
+  EXPECT_NE(settled[0].thread, std::this_thread::get_id());  // a shard
+  EXPECT_TRUE(settled[3].reply.ok());
+  EXPECT_FALSE(settled[5].reply.status.isOk());
+  EXPECT_NE(settled[6].reply.status.message().find("before dispatch"),
+            std::string::npos);
+  EXPECT_EQ(settled[6].thread, std::this_thread::get_id());
 }
 
 TEST(ServiceTest, CallerPriorityOverridesTypeDefault) {
