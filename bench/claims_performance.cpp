@@ -8,6 +8,7 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -113,9 +114,9 @@ void printClaims() {
 // stay comparable against the committed BENCH_seed.json baseline.  d=6 is
 // the paper's 64-node flagship; d=7 (128 nodes) and d=8 (256 nodes)
 // exercise the beyond-paper shapes that tests/test_hypercube.cpp pins for
-// stats consistency.  Since PR 9 these run the SoA node-batched engine at
-// the default lane width; BM_SystemPhaseScalar pins the scalar per-node
-// engine on the compute-heavy shapes for an in-snapshot A/B.
+// stats consistency.  These run lane groups of the default width;
+// BM_SystemPhaseScalar runs width-1 groups (the W = 1 path of the one
+// stepper) on the compute-heavy shapes for an in-snapshot A/B.
 void BM_SystemPhase(benchmark::State& state) {
   const int dim = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -209,11 +210,15 @@ BENCHMARK(BM_PhaseThroughput_Pooled);
 void BM_PhaseThroughput_SpawnBaseline(benchmark::State& state) {
   arch::Machine machine;
   const mc::GenerateResult gen = buildPhaseProgram(machine, 8);
-  // Scalar mode: the seed-reproduction baseline drives per-node NodeSims
-  // from its own spawned threads.
-  sim::HypercubeSystem system(machine, 4, {.node_lanes = 1});
-  system.loadAll(gen.exe);
-  const int n = system.numNodes();
+  // The seed-reproduction baseline drives its own 16 NodeSims (one shared
+  // compiled image, like loadAll) from its own spawned threads.
+  constexpr int n = 16;
+  const auto program = sim::CompiledProgram::compile(machine, gen.exe);
+  std::vector<std::unique_ptr<sim::NodeSim>> nodes;
+  for (int i = 0; i < n; ++i) {
+    nodes.push_back(std::make_unique<sim::NodeSim>(machine));
+    nodes.back()->load(program);
+  }
   std::vector<sim::RunStats> results(static_cast<std::size_t>(n));
   for (auto _ : state) {
     // Seed behavior: one thread batch per phase, created and joined inline.
@@ -225,14 +230,14 @@ void BM_PhaseThroughput_SpawnBaseline(benchmark::State& state) {
          begin += chunk) {
       const std::size_t end =
           std::min(begin + chunk, static_cast<std::size_t>(n));
-      threads.emplace_back([&system, &results, begin, end] {
+      threads.emplace_back([&nodes, &results, begin, end] {
         for (std::size_t i = begin; i < end; ++i) {
-          results[i] = system.node(static_cast<int>(i)).run();
+          results[i] = nodes[i]->run();
         }
       });
     }
     for (auto& t : threads) t.join();
-    for (int i = 0; i < n; ++i) system.node(i).restart();
+    for (auto& node : nodes) node->restart();
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -129,9 +129,9 @@ void BM_RestrictedModelSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_RestrictedModelSweep);
 
-// Engine A/B: the same workload on the legacy per-cycle interpreter
+// Executor A/B: the same workload on the legacy per-cycle interpreter
 // (NodeOptions::use_compiled = false).  The ratio against BM_FullModelSweep
-// is the compiled engine's speedup, captured in every BENCH_*.json.
+// is the compiled stepper's speedup, captured in every BENCH_*.json.
 void BM_InterpreterModelSweep(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(runModel(false, false).cycles_per_sweep);

@@ -2,11 +2,11 @@
 // data) are the natural vector axis of the simulated NSC — every replica's
 // token timing is identical, so one SoA ReplicaBatch steps W replicas per
 // compiled instruction with a single shape computation and W-wide value
-// loops.  BM_EnsembleThroughput sweeps the replica count through the
-// batched engine (auto lane width); BM_EnsembleScalar is the per-replica
-// scalar baseline the speedup is measured against.  Both paths share one
-// compiled image, one exec pool, and one program cache, so the sweep
-// isolates the execution engine, not compilation.
+// loops.  BM_EnsembleThroughput sweeps the replica count at the auto lane
+// width; BM_EnsembleScalar is the one-replica-per-batch (W = 1) baseline
+// the speedup is measured against.  Both share one compiled image, one
+// exec pool, and one program cache, so the sweep isolates lane width, not
+// compilation.
 #include <memory>
 
 #include "bench_common.h"
@@ -79,7 +79,7 @@ void BM_EnsembleThroughput(benchmark::State& state) {
 BENCHMARK(BM_EnsembleThroughput)->Arg(1)->Arg(8)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Scalar per-replica baseline (lanes = 1 forces one NodeSim per replica).
+// One replica per batch (lanes = 1): the W = 1 baseline.
 void BM_EnsembleScalar(benchmark::State& state) {
   runEnsembleBench(state, 1);
 }

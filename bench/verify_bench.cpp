@@ -1,36 +1,20 @@
-// Static verification cost and adaptive steady-block payoff.
+// Static verification cost.
 //
 // The ProgramVerifier (src/sim/verify.h) runs once per compile, at the
 // shared program cache's insert — so its cost is paid exactly once per
 // distinct program per process, however many shards, nodes, or replicas run
-// the image.  This bench pins two numbers:
+// the image.  BM_VerifyProgram pins the cold cost of that one verification
+// pass on the Figure-11 Jacobi program.
 //
-//   BM_VerifyProgram      the cold cost of that one verification pass on
-//                         the Figure-11 Jacobi program;
-//   BM_SteadyBlockSweep   what the proven steady-state windows buy at
-//                         execution time: the same sweep with the engine
-//                         pinned to the legacy fixed 64-cycle blocks
-//                         (NodeOptions::steady_block_override = 64) versus
-//                         the verifier's adaptive windows (the default).
-//                         Both variants are bit-identical in every stat —
-//                         test_compiled.cpp enforces it — so the delta is
-//                         pure block-bookkeeping overhead.
-//
-// The printed artifact is the verification report itself: the per-
-// instruction verdicts and proven windows for the Figure-11 program, and
-// the typed diagnostic for a deliberately hazardous (out-of-bounds DMA)
-// program that the service layer would refuse at admission.
+// The printed artifact is the verification report itself: the verdict for
+// the Figure-11 program, and the typed diagnostic for a deliberately
+// hazardous (out-of-bounds DMA) program that the service layer would refuse
+// at admission.
 #include "bench_common.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "cfd/jacobi_program.h"
-#include "cfd/poisson.h"
 #include "program/program.h"
 #include "sim/compiled.h"
-#include "sim/hypercube.h"
-#include "sim/node.h"
 #include "sim/verify.h"
 
 namespace {
@@ -40,17 +24,13 @@ using namespace nsc;
 struct Workload {
   arch::Machine machine;
   cfd::JacobiProgram jacobi;
-  cfd::PoissonProblem problem;
-  mc::GenerateResult gen;
   std::shared_ptr<const sim::CompiledProgram> program;
 
   explicit Workload(cfd::JacobiBuildOptions options)
-      : jacobi(machine, options),
-        problem(cfd::PoissonProblem::manufactured(
-            options.grid.nx, options.grid.ny, options.grid.nz)) {
+      : jacobi(machine, options) {
     mc::Generator generator(machine);
-    gen = generator.generate(jacobi.program());
-    program = sim::CompiledProgram::compile(machine, gen.exe);
+    program = sim::CompiledProgram::compile(
+        machine, generator.generate(jacobi.program()).exe);
   }
 };
 
@@ -89,36 +69,21 @@ std::shared_ptr<const sim::CompiledProgram> hazardousProgram(
 
 void printReport() {
   bench::banner("verify_bench",
-                "static verification of lowered programs (admission gate + "
-                "proven steady-state windows)");
+                "static verification of lowered programs (admission gate)");
   Workload& w = figure11();
   const sim::VerifyReport& report = *w.program->verify;
   std::printf("Figure-11 Jacobi program: %zu instructions, %s "
-              "(%zu errors, %zu warnings)\n\n",
+              "(%zu errors, %zu warnings)\n",
               w.program->instrs.size(),
               report.clean() ? "verifies clean" : "REFUSED",
               report.errorCount(), report.warningCount());
-  std::printf("%-6s %-22s %13s\n", "instr", "name", "steady window");
-  for (std::size_t i = 0; i < w.program->instrs.size(); ++i) {
-    const std::uint32_t window = w.program->instrs[i].steady_window;
-    std::printf("%-6zu %-22s %13u%s\n", i,
-                i < w.program->names.size() ? w.program->names[i].c_str()
-                                            : "?",
-                window, window > sim::kFallbackSteadyBlock
-                            ? "  (proven beyond the fixed 64)"
-                            : "");
-  }
 
   const auto hazardous = hazardousProgram(w.machine);
   std::printf("\nhazardous program (DMA past the simulated plane):\n  %s\n",
               hazardous->verify->firstError().c_str());
-  std::printf("\nshape check: every sweep instruction proves a window "
-              "covering its whole stream,\nso the compiled engine crosses "
-              "the steady state in one block instead of %u-cycle\nsteps; "
-              "the hazardous program is a typed error the service refuses "
-              "at admission\n(Reject::kInvalidProgram) before any node sees "
-              "it.\n\n",
-              sim::kFallbackSteadyBlock);
+  std::printf("\nshape check: the hazardous program is a typed error the "
+              "service refuses at admission\n(Reject::kInvalidProgram) "
+              "before any node sees it.\n\n");
 }
 
 // Cold verification cost: what the cache pays once per distinct program.
@@ -130,56 +95,6 @@ void BM_VerifyProgram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VerifyProgram);
-
-std::uint64_t runSweep(Workload& w, std::uint64_t override_block) {
-  sim::NodeSim::Options options;
-  options.steady_block_override = override_block;
-  sim::NodeSim node(w.machine, options);
-  node.load(w.program);
-  w.jacobi.load(node, w.problem);
-  return node.run().total_cycles;
-}
-
-// Fixed-64 vs adaptive on the Figure-11 sweep (arg: 64 = legacy pinned,
-// 0 = the verifier's proven windows).  Identical simulated cycles; the
-// wall-clock delta is the per-block completion/bookkeeping overhead the
-// proven windows eliminate.
-void BM_SteadyBlockSweep(benchmark::State& state) {
-  Workload& w = figure11();
-  const auto override_block = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(runSweep(w, override_block));
-  }
-}
-BENCHMARK(BM_SteadyBlockSweep)->Arg(64)->Arg(0);
-
-// The same A/B across a scaled multi-node phase: 4 nodes, 16^3 slabs.
-void BM_SteadyBlockSystemPhase(benchmark::State& state) {
-  const auto override_block = static_cast<std::uint64_t>(state.range(0));
-  cfd::JacobiBuildOptions options;
-  options.grid = {16, 16, 12};
-  options.h = 1.0 / 15.0;
-  options.convergence_mode = false;
-  options.fixed_sweeps = 2;
-  Workload w(options);
-  sim::NodeSim::Options node_options;
-  node_options.steady_block_override = override_block;
-  for (auto _ : state) {
-    sim::HypercubeSystem system(w.machine, 2, {.node = node_options});
-    system.loadAll(w.gen.exe);
-    for (int n = 0; n < system.numNodes(); ++n) {
-      sim::HypercubeSystem::NodeStore store = system.nodeStore(n);
-      w.jacobi.load(store, w.problem);
-    }
-    sim::SystemStats stats;
-    system.runPhase(stats);
-    benchmark::DoNotOptimize(stats.compute_makespan_cycles);
-  }
-}
-BENCHMARK(BM_SteadyBlockSystemPhase)
-    ->Arg(64)
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

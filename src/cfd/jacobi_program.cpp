@@ -414,12 +414,6 @@ void JacobiProgram::load(sim::ReplicaStore& store,
   }
 }
 
-void JacobiProgram::load(sim::NodeSim& node,
-                         const PoissonProblem& problem) const {
-  sim::NodeReplicaStore store(node);
-  load(store, problem);
-}
-
 std::uint64_t JacobiProgram::sweepsDone(const sim::RunStats& stats) {
   std::uint64_t n = 0;
   for (const sim::InstrStats& instr : stats.trace) {

@@ -33,7 +33,6 @@
 #include "arch/machine.h"
 #include "cfd/poisson.h"
 #include "program/program.h"
-#include "sim/batch.h"
 #include "sim/node.h"
 #include "sim/stats.h"
 
@@ -72,11 +71,10 @@ class JacobiProgram {
   const JacobiLayout& layout() const { return layout_; }
   const JacobiBuildOptions& options() const { return options_; }
 
-  // Deposits u0 / f / mask into the node's memory planes.  The ReplicaStore
-  // form seeds any engine exposing the store interface (a scalar NodeSim, a
-  // ReplicaBatch lane, or one node of a batched HypercubeSystem).
+  // Deposits u0 / f / mask into the node's memory planes, through any
+  // ReplicaStore: a NodeSim, a ReplicaBatch lane, or one node of a
+  // HypercubeSystem.
   void load(sim::ReplicaStore& store, const PoissonProblem& problem) const;
-  void load(sim::NodeSim& node, const PoissonProblem& problem) const;
 
   // Number of sweep instructions executed in a run (trace names).
   static std::uint64_t sweepsDone(const sim::RunStats& stats);

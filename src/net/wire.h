@@ -21,8 +21,7 @@
 //     remote client consumes diagnostics, stats, and planes, not microcode.
 //     ServiceReply::program is likewise a process-local cache handle and is
 //     represented by its absence; ServiceReply::verify is rebuilt from the
-//     serialized diagnostics (per-instruction steady windows are engine
-//     internals and do not travel).
+//     serialized diagnostics (per-instruction verdicts do not travel).
 #pragma once
 
 #include <string>

@@ -61,12 +61,11 @@ struct CompileOutcome {
 
 // Knobs for an ensemble run.  `lanes` is the SoA batch width: 0 resolves
 // the auto default (the NSC_ENSEMBLE_LANES environment variable, else 8),
-// 1 forces the scalar per-replica path, anything larger batches that many
+// 1 runs one replica per ReplicaBatch, anything larger batches that many
 // replicas per ReplicaBatch.  `init` (optional) seeds replica `i`'s memory
-// before it runs; it is invoked from pool threads (possibly concurrently
-// for different replicas) and must be thread-safe.  Both execution paths
-// seed through the same ReplicaStore interface, so results are
-// bit-identical whichever path a replica takes.
+// through the ReplicaStore interface before it runs; it is invoked from
+// pool threads (possibly concurrently for different replicas) and must be
+// thread-safe.  Results are bit-identical at every width.
 struct EnsembleOptions {
   int lanes = 0;
   std::function<void(int replica, sim::ReplicaStore&)> init;
@@ -80,8 +79,9 @@ struct EnsembleOutcome {
   bool cache_hit = false;
   std::vector<sim::RunStats> runs;  // runs[i] belongs to replica i
   // How the replicas executed: the resolved SoA lane width, and how many
-  // replicas finished inside a ReplicaBatch vs on the scalar engine
-  // (lane-width-1 remainders and lanes drained after divergence).
+  // replicas finished in lockstep inside a ReplicaBatch vs counted scalar
+  // (the replica of a width-1 batch, and lanes that left their batch after
+  // divergence).
   int lanes_used = 1;
   int replicas_batched = 0;
   int replicas_scalar = 0;
@@ -149,7 +149,7 @@ class WorkbenchCore {
   // layer can verify/gate between compile and run.  Replicas partition into
   // SoA ReplicaBatch groups of `options.lanes` width (see EnsembleOptions),
   // dispatched one pool task per batch; results are index-stable and
-  // bit-identical to scalar per-replica execution.
+  // bit-identical to per-replica execution.
   struct ReplicaRunOutcome {
     std::vector<sim::RunStats> runs;
     int lanes_used = 1;

@@ -98,8 +98,8 @@ struct RunEnsemble {
   std::string script;
   int replicas = 1;
   // SoA lane width for the batched ensemble engine: 0 = auto
-  // (NSC_ENSEMBLE_LANES, else the built-in default), 1 = scalar
-  // per-replica path (see EnsembleOptions::lanes).
+  // (NSC_ENSEMBLE_LANES, else the built-in default), 1 = one replica per
+  // batch (see EnsembleOptions::lanes).
   int lanes = 0;
 };
 
@@ -112,7 +112,7 @@ struct RunSystemPhases {
   sim::RouterOptions router{};
   // SPMD lane width for the system's compute phases (see
   // sim::SystemOptions::node_lanes): 0 resolves via NSC_NODE_LANES, 1
-  // forces the scalar per-node engine.  Replies are bit-identical across
+  // runs one node per lane group.  Replies are bit-identical across
   // widths; only RequestStats engine counters differ.
   int node_lanes = 0;
 };
@@ -196,13 +196,13 @@ struct RequestStats {
   std::uint64_t checker_session_hits = 0;
   // RunEnsemble only: the resolved SoA lane width, and how the replicas
   // split between batched (lockstep inside a ReplicaBatch) and scalar
-  // execution (lane-width-1 remainders + divergence drains).
+  // (width-1 batches + lanes that left their batch after divergence).
   int ensemble_lanes = 0;
   int replicas_batched = 0;
   int replicas_scalar = 0;
   // RunSystemPhases only: the resolved SPMD node-lane width, and how many
-  // node-phase executions ran batched (SoA lane groups) vs scalar (width-1
-  // systems, or batched-mode nodes that diverged / retired mid-phase),
+  // node-phase executions ran batched (SoA lane groups) vs scalar (every
+  // node of a width-1 system, or nodes that diverged / retired mid-phase),
   // summed over the request's compute phases.
   int node_lanes = 0;
   std::uint64_t nodes_batched = 0;

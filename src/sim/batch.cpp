@@ -1,119 +1,41 @@
-// The SoA batched execution engine: ReplicaBatch::executeCompiledBatch.
-//
-// One shape copy of every token stream is stepped exactly like the scalar
-// compiled engine (compiled_exec.cpp) — same phases, same steady-block
-// bounds, same completion logic — while token *values* live in contiguous
-// per-lane columns (`vals[slot * W + w]`) advanced by W-wide inner loops.
-// Shape state (validity, last marks, indices, cursors, ring positions,
-// launch decisions) is data-independent, so it is identical for every
-// lockstep lane; the value loops are the only per-lane work and carry no
-// branches on lane data, so they auto-vectorize.
+// ReplicaBatch: lockstep lanes over one LaneState, with per-lane
+// retirement into NodeSims where the sequencer's branches disagree.
 #include "sim/batch.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/env.h"
-#include "common/strings.h"
 
 namespace nsc::sim {
 
 namespace {
 
-// W-wide evalOp: the opcode switch hoisted out of the lane loop.  Each case
-// must compute exactly what arch::evalOp computes per lane; rare opcodes
-// fall back to the scalar call (bit-identical, just not vectorized).  KW > 0
-// makes the trip count a compile-time constant (see executeCompiledBatchT).
-template <int KW>
-void evalLanes(arch::OpCode op, const double* a, const double* b, double* out,
-               int rw) {
-  const int w = KW > 0 ? KW : rw;
-  using arch::OpCode;
-  switch (op) {
-    case OpCode::kPass:
-      for (int i = 0; i < w; ++i) out[i] = a[i];
-      return;
-    case OpCode::kAdd:
-      for (int i = 0; i < w; ++i) out[i] = a[i] + b[i];
-      return;
-    case OpCode::kSub:
-      for (int i = 0; i < w; ++i) out[i] = a[i] - b[i];
-      return;
-    case OpCode::kMul:
-      for (int i = 0; i < w; ++i) out[i] = a[i] * b[i];
-      return;
-    case OpCode::kDiv:
-      for (int i = 0; i < w; ++i) out[i] = a[i] / b[i];
-      return;
-    case OpCode::kNeg:
-      for (int i = 0; i < w; ++i) out[i] = -a[i];
-      return;
-    case OpCode::kAbs:
-      for (int i = 0; i < w; ++i) out[i] = std::fabs(a[i]);
-      return;
-    case OpCode::kCmpLt:
-      for (int i = 0; i < w; ++i) out[i] = a[i] < b[i] ? 1.0 : 0.0;
-      return;
-    case OpCode::kCmpLe:
-      for (int i = 0; i < w; ++i) out[i] = a[i] <= b[i] ? 1.0 : 0.0;
-      return;
-    case OpCode::kCmpEq:
-      for (int i = 0; i < w; ++i) out[i] = a[i] == b[i] ? 1.0 : 0.0;
-      return;
-    case OpCode::kMin:
-      for (int i = 0; i < w; ++i) out[i] = a[i] < b[i] ? a[i] : b[i];
-      return;
-    case OpCode::kMax:
-      for (int i = 0; i < w; ++i) out[i] = a[i] > b[i] ? a[i] : b[i];
-      return;
-    default:
-      for (int i = 0; i < w; ++i) out[i] = arch::evalOp(op, a[i], b[i]);
-      return;
+int resolveLanes(int requested, const char* env_var, int fallback) {
+  if (requested > 0) return std::min(requested, kMaxLanes);
+  // Strict parse (common/env.h): non-numeric, negative, zero, or overflowed
+  // values warn once and fall back to the default instead of silently
+  // running a different experiment.
+  if (const std::optional<long long> v =
+          common::envInt(env_var, 1, kMaxLanes)) {
+    return static_cast<int>(*v);
   }
+  return fallback;
 }
 
 }  // namespace
 
 int resolveEnsembleLanes(int requested) {
-  const auto clamped = [](long v) {
-    return static_cast<int>(
-        std::clamp<long>(v, 1, ReplicaBatch::kMaxLanes));
-  };
-  if (requested > 0) return clamped(requested);
-  // Strict parse (common/env.h): non-numeric, negative, zero, or overflowed
-  // NSC_ENSEMBLE_LANES values warn once and fall back to the default
-  // instead of silently running a different experiment.
-  if (const std::optional<long long> v =
-          common::envInt("NSC_ENSEMBLE_LANES", 1, ReplicaBatch::kMaxLanes)) {
-    return clamped(static_cast<long>(*v));
-  }
-  return kDefaultEnsembleLanes;
+  return resolveLanes(requested, "NSC_ENSEMBLE_LANES", kDefaultEnsembleLanes);
+}
+
+int resolveNodeLanes(int requested) {
+  return resolveLanes(requested, "NSC_NODE_LANES", kDefaultNodeLanes);
 }
 
 ReplicaBatch::ReplicaBatch(const arch::Machine& machine, int lanes,
                            NodeSim::Options options)
-    : machine_(machine),
-      options_(options),
-      lanes_(std::clamp(lanes, 1, kMaxLanes)) {
-  const arch::MachineConfig& cfg = machine_.config();
-  const auto n_planes = static_cast<std::size_t>(cfg.num_memory_planes);
-  const auto w = static_cast<std::size_t>(lanes_);
-  planes_.resize(n_planes);
-  plane_words_.assign(n_planes, 0);
-  lane_plane_words_.assign(n_planes, std::vector<std::uint64_t>(w, 0));
-  // Cache buffers stay empty until first touched: most programs use few (or
-  // no) caches, and eagerly zeroing num_caches * cache_buffers * W words
-  // would dominate the cost of running a small ensemble.
-  caches_.resize(static_cast<std::size_t>(cfg.num_caches));
-  for (auto& cache : caches_) {
-    cache.resize(static_cast<std::size_t>(cfg.cache_buffers));
-  }
-  cond_.assign(4 * w, 0);
-  fu_launches_.assign(static_cast<std::size_t>(cfg.numFus()), 0);
-  retired_.resize(w);
-  scratch_.a_vals.resize(w);
-  scratch_.b_vals.resize(w);
-  scratch_.res_vals.resize(w);
+    : options_(options), state_(machine, lanes) {
+  retired_.resize(static_cast<std::size_t>(state_.lanes()));
 }
 
 void ReplicaBatch::load(std::shared_ptr<const CompiledProgram> program) {
@@ -121,12 +43,12 @@ void ReplicaBatch::load(std::shared_ptr<const CompiledProgram> program) {
   loop_counters_.assign(program_ ? program_->size() : 0, std::nullopt);
   pc_ = 0;
   halted_ = false;
-  std::fill(cond_.begin(), cond_.end(), 0);
+  std::fill(state_.cond.begin(), state_.cond.end(), 0);
   for (auto& node : retired_) {
     if (node == nullptr) continue;
     // A retired lane's continuation node was created with the budget that
     // remained at its retirement; a fresh load grants the full per-run
-    // budget again, exactly like any scalar node being (re)loaded.
+    // budget again, exactly like any node being (re)loaded.
     node->options_.max_instructions = options_.max_instructions;
     node->load(program_);
   }
@@ -137,7 +59,7 @@ void ReplicaBatch::restart() {
   // sequencer, so one reset covers them all; memory is untouched.
   pc_ = 0;
   halted_ = false;
-  std::fill(cond_.begin(), cond_.end(), 0);
+  std::fill(state_.cond.begin(), state_.cond.end(), 0);
   std::fill(loop_counters_.begin(), loop_counters_.end(), std::nullopt);
   for (auto& node : retired_) {
     if (node == nullptr) continue;
@@ -146,74 +68,23 @@ void ReplicaBatch::restart() {
   }
 }
 
-// Mirrors NodeSim::ensurePlaneSize per lane (each lane's logical size grows
-// exactly as its scalar replica's backing store would), then extends the
-// shared SoA store to the widest lane.  The layout is address-major, so a
-// plain resize keeps existing words in place and zero-fills the growth.
-void ReplicaBatch::ensurePlaneSize(arch::PlaneId plane, std::uint64_t needed) {
-  const std::uint64_t cap = machine_.config().sim_plane_words;
-  const auto p = static_cast<std::size_t>(plane);
-  std::uint64_t widest = plane_words_[p];
-  for (std::uint64_t& words : lane_plane_words_[p]) {
-    if (words >= needed || needed > cap) continue;
-    words = std::min<std::uint64_t>(
-        cap, std::max<std::uint64_t>(needed, words * 2));
-    widest = std::max(widest, words);
-  }
-  if (widest > plane_words_[p]) {
-    plane_words_[p] = widest;
-    planes_[p].resize(widest * static_cast<std::uint64_t>(lanes_), 0.0);
-  }
-}
-
-std::vector<double>& ReplicaBatch::cacheStore(std::size_t cache,
-                                              std::size_t buffer) {
-  std::vector<double>& mem = caches_[cache][buffer];
-  if (mem.empty()) {
-    mem.assign(machine_.config().cacheWords() *
-                   static_cast<std::size_t>(lanes_),
-               0.0);
-  }
-  return mem;
-}
-
 void ReplicaBatch::writePlane(int lane, arch::PlaneId plane,
                               std::uint64_t base,
                               std::span<const double> values) {
-  if (retired_[static_cast<std::size_t>(lane)] != nullptr) {
-    retired_[static_cast<std::size_t>(lane)]->writePlane(plane, base, values);
-    return;
-  }
-  const auto p = static_cast<std::size_t>(plane);
-  const auto w = static_cast<std::size_t>(lanes_);
-  // Per-lane growth and overflow-drop semantics identical to
-  // NodeSim::writePlane against this lane's logical size.
-  ensurePlaneSize(plane, base + values.size());
-  const std::uint64_t words = lane_plane_words_[p][static_cast<std::size_t>(lane)];
-  const std::uint64_t start = std::min<std::uint64_t>(base, words);
-  const std::uint64_t fit =
-      std::min<std::uint64_t>(values.size(), words - start);
-  double* mem = planes_[p].data();
-  for (std::uint64_t i = 0; i < fit; ++i) {
-    mem[(start + i) * w + static_cast<std::size_t>(lane)] = values[i];
+  if (NodeSim* node = retired_[static_cast<std::size_t>(lane)].get()) {
+    node->writePlane(plane, base, values);
+  } else {
+    state_.writePlane(lane, plane, base, values);
   }
 }
 
 void ReplicaBatch::writeCache(int lane, arch::CacheId cache, int buffer,
                               std::uint64_t base,
                               std::span<const double> values) {
-  if (retired_[static_cast<std::size_t>(lane)] != nullptr) {
-    retired_[static_cast<std::size_t>(lane)]->writeCache(cache, buffer, base,
-                                                         values);
-    return;
-  }
-  const std::uint64_t words = machine_.config().cacheWords();
-  const auto w = static_cast<std::size_t>(lanes_);
-  double* mem = cacheStore(static_cast<std::size_t>(cache),
-                           static_cast<std::size_t>(buffer))
-                    .data();
-  for (std::size_t i = 0; i < values.size() && base + i < words; ++i) {
-    mem[(base + i) * w + static_cast<std::size_t>(lane)] = values[i];
+  if (NodeSim* node = retired_[static_cast<std::size_t>(lane)].get()) {
+    node->writeCache(cache, buffer, base, values);
+  } else {
+    state_.writeCache(lane, cache, buffer, base, values);
   }
 }
 
@@ -228,37 +99,21 @@ std::vector<double> ReplicaBatch::readPlane(int lane, arch::PlaneId plane,
 void ReplicaBatch::readPlaneInto(int lane, arch::PlaneId plane,
                                  std::uint64_t base,
                                  std::span<double> out) const {
-  if (retired_[static_cast<std::size_t>(lane)] != nullptr) {
-    retired_[static_cast<std::size_t>(lane)]->readPlaneInto(plane, base, out);
-    return;
-  }
-  const auto p = static_cast<std::size_t>(plane);
-  const auto w = static_cast<std::size_t>(lanes_);
-  const std::uint64_t words = lane_plane_words_[p][static_cast<std::size_t>(lane)];
-  const double* mem = planes_[p].data();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::uint64_t addr = base + i;
-    out[i] = addr < words ? mem[addr * w + static_cast<std::size_t>(lane)] : 0.0;
+  if (const NodeSim* node = retired_[static_cast<std::size_t>(lane)].get()) {
+    node->readPlaneInto(plane, base, out);
+  } else {
+    state_.readPlaneInto(lane, plane, base, out);
   }
 }
 
 std::vector<double> ReplicaBatch::readCache(int lane, arch::CacheId cache,
                                             int buffer, std::uint64_t base,
                                             std::uint64_t count) const {
-  if (retired_[static_cast<std::size_t>(lane)] != nullptr) {
-    return retired_[static_cast<std::size_t>(lane)]->readCache(cache, buffer,
-                                                               base, count);
-  }
-  const std::uint64_t words = machine_.config().cacheWords();
-  const auto w = static_cast<std::size_t>(lanes_);
   std::vector<double> out(count, 0.0);
-  const std::vector<double>& store = caches_.at(static_cast<std::size_t>(cache))
-                                         .at(static_cast<std::size_t>(buffer));
-  if (store.empty()) return out;  // never touched: all zeros
-  const double* mem = store.data();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t addr = base + i;
-    if (addr < words) out[i] = mem[addr * w + static_cast<std::size_t>(lane)];
+  if (const NodeSim* node = retired_[static_cast<std::size_t>(lane)].get()) {
+    node->readCacheInto(cache, buffer, base, out);
+  } else {
+    state_.readCacheInto(lane, cache, buffer, base, out);
   }
   return out;
 }
@@ -267,444 +122,31 @@ std::unique_ptr<NodeSim> ReplicaBatch::extractLane(
     int w, int lane_pc, bool lane_halted, std::uint64_t executed) const {
   NodeSim::Options opts = options_;
   opts.max_instructions = options_.max_instructions - executed;
-  auto node = std::make_unique<NodeSim>(machine_, opts);
-  const auto lane = static_cast<std::size_t>(w);
-  const auto lanes = static_cast<std::size_t>(lanes_);
+  auto node = std::make_unique<NodeSim>(state_.machine(), opts);
   node->program_ = program_;
   node->loop_counters_ = loop_counters_;
   node->pc_ = lane_pc;
   node->halted_ = lane_halted;
-  for (std::size_t r = 0; r < 4; ++r) {
-    node->cond_regs_[r] = cond_[r * lanes + lane] != 0;
-  }
-  for (std::size_t p = 0; p < planes_.size(); ++p) {
-    const std::uint64_t words = lane_plane_words_[p][lane];
-    auto& mem = node->planes_[p];
-    mem.assign(words, 0.0);
-    const double* soa = planes_[p].data();
-    for (std::uint64_t a = 0; a < words; ++a) mem[a] = soa[a * lanes + lane];
-  }
-  const std::uint64_t cache_words = machine_.config().cacheWords();
-  for (std::size_t c = 0; c < caches_.size(); ++c) {
-    for (std::size_t buf = 0; buf < caches_[c].size(); ++buf) {
-      if (caches_[c][buf].empty()) continue;  // untouched: node's is zeroed
-      auto& mem = node->caches_[c][buf];
-      const double* soa = caches_[c][buf].data();
-      for (std::uint64_t a = 0; a < cache_words; ++a) {
-        mem[a] = soa[a * lanes + lane];
-      }
-    }
-  }
+  state_.copyLaneTo(w, node->state_);
   return node;
 }
 
-InstrStats ReplicaBatch::executeCompiledBatch(const CompiledInstr& ci,
-                                              int instr_index,
-                                              const std::string& name) {
-  // The SIMD-friendly widths get bodies with compile-time-constant lane
-  // loops; anything else takes the runtime-width fallback (KW = 0).
-  switch (lanes_) {
-    case 4: return executeCompiledBatchT<4>(ci, instr_index, name);
-    case 8: return executeCompiledBatchT<8>(ci, instr_index, name);
-    case 16: return executeCompiledBatchT<16>(ci, instr_index, name);
-    default: return executeCompiledBatchT<0>(ci, instr_index, name);
-  }
-}
-
-template <int KW>
-InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
-                                               int instr_index,
-                                               const std::string& name) {
-  const arch::MachineConfig& cfg = machine_.config();
-  const int W = KW > 0 ? KW : lanes_;
-  InstrStats stats;
-  stats.instruction = instr_index;
-  stats.name = name;
-
-  if (ci.fault.kind != FaultKind::kNone) {
-    stats.error = true;
-    stats.fault = ci.fault.kind;
-    stats.error_message = ci.fault.message;
-    return stats;
-  }
-  for (const auto& [plane, needed] : ci.plane_grows) {
-    ensurePlaneSize(plane, needed);
-  }
-  // Cache write targets must exist before the cycle loop dereferences them
-  // (reads of untouched buffers fall through to zero, like a pre-zeroed
-  // scalar buffer).
-  for (const CompiledDma& wr : ci.writes) {
-    if (wr.is_cache) {
-      cacheStore(static_cast<std::size_t>(wr.unit),
-                 static_cast<std::size_t>(wr.buffer));
-    }
-  }
-
-  // --- Per-instruction state (reused storage, reset content) ---
-  Scratch& s = scratch_;
-  const std::size_t n_src = machine_.sources().size();
-  const std::size_t n_dst = machine_.destinations().size();
-  s.src_out.assign(n_src, Token::invalid());
-  s.dst_in.assign(n_dst, Token::invalid());
-  s.arena.assign(ci.ring_slots, Token::invalid());
-  s.src_vals.assign(n_src * static_cast<std::size_t>(W), 0.0);
-  s.dst_vals.assign(n_dst * static_cast<std::size_t>(W), 0.0);
-  s.arena_vals.assign(ci.ring_slots * static_cast<std::size_t>(W), 0.0);
-  s.fu.assign(ci.fus.size(), Scratch::FuRun{});
-  s.acc.assign(ci.fus.size() * static_cast<std::size_t>(W), 0.0);
-  for (std::size_t k = 0; k < ci.fus.size(); ++k) {
-    if (ci.fus[k].is_accum) {
-      double* acc = s.acc.data() + k * static_cast<std::size_t>(W);
-      for (int i = 0; i < W; ++i) acc[i] = ci.fus[k].rf_value;
-    }
-  }
-  s.reads.assign(ci.reads.size(), Scratch::DmaRun{});
-  s.writes.assign(ci.writes.size(), Scratch::DmaRun{});
-  s.sd_pos.assign(ci.sds.size(), 0);
-
-  const std::uint64_t drain_budget = drainBudget(cfg);
-  std::uint64_t drain = 0;
-  bool cond_fired = false;
-
-  // One cycle of dataflow across all lanes; the shape side is a line-by-line
-  // mirror of NodeSim::executeCompiled's stepCycle.
-  const auto stepCycle = [&]() {
-    // Phase 1a: DMA read engines produce this cycle's tokens.
-    for (std::size_t i = 0; i < ci.reads.size(); ++i) {
-      const CompiledDma& rd = ci.reads[i];
-      Scratch::DmaRun& run = s.reads[i];
-      Token tok = Token::invalid();
-      double* out = s.src_vals.data() +
-                    static_cast<std::size_t>(rd.endpoint) *
-                        static_cast<std::size_t>(W);
-      if (run.element < rd.total) {
-        const std::uint64_t element = run.element;
-        const auto addr = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(rd.base) +
-            static_cast<std::int64_t>(run.row) * rd.stride2 +
-            static_cast<std::int64_t>(run.in_row) * rd.stride);
-        ++run.element;
-        if (++run.in_row == rd.count) {
-          run.in_row = 0;
-          ++run.row;
-        }
-        const std::vector<double>& mem =
-            rd.is_cache ? caches_[static_cast<std::size_t>(rd.unit)]
-                                 [static_cast<std::size_t>(rd.buffer)]
-                        : planes_[static_cast<std::size_t>(rd.unit)];
-        // One shared address per cycle: W contiguous lane values.  The
-        // in-range check uses the shared SoA extent, which agrees with
-        // every lane's scalar check (both stores cover all non-wrapped DMA
-        // addresses once plane_grows ran; wrapped addresses exceed both).
-        const std::uint64_t addr_base = addr * static_cast<std::uint64_t>(W);
-        if (addr_base < mem.size()) {
-          const double* col = mem.data() + addr_base;
-          for (int l = 0; l < W; ++l) out[l] = col[l];
-        } else {
-          for (int l = 0; l < W; ++l) out[l] = 0.0;
-        }
-        tok = Token{0.0, true, run.element == rd.total,
-                    static_cast<std::int32_t>(element)};
-      } else {
-        for (int l = 0; l < W; ++l) out[l] = 0.0;
-      }
-      s.src_out[static_cast<std::size_t>(rd.endpoint)] = tok;
-    }
-
-    // Phase 1b: shift/delay taps produce delayed copies.
-    for (std::size_t i = 0; i < ci.sds.size(); ++i) {
-      const CompiledSd& sd = ci.sds[i];
-      const std::uint32_t pos = s.sd_pos[i];
-      for (const CompiledSdTap& tap : sd.taps) {
-        std::uint32_t at = pos + tap.back;
-        if (at >= sd.hist_len) at -= sd.hist_len;
-        s.src_out[static_cast<std::size_t>(tap.src)] =
-            s.arena[sd.hist_off + at];
-        const double* from = s.arena_vals.data() +
-                             static_cast<std::size_t>(sd.hist_off + at) *
-                                 static_cast<std::size_t>(W);
-        double* to = s.src_vals.data() +
-                     static_cast<std::size_t>(tap.src) *
-                         static_cast<std::size_t>(W);
-        for (int l = 0; l < W; ++l) to[l] = from[l];
-      }
-    }
-
-    // Phase 1c: functional units consume and launch.
-    for (std::size_t k = 0; k < ci.fus.size(); ++k) {
-      const CompiledFu& fu = ci.fus[k];
-      Scratch::FuRun& st = s.fu[k];
-      double* acc = s.acc.data() + k * static_cast<std::size_t>(W);
-
-      // Shape token returned; lane values land in `out[0..W)`.
-      const auto operand = [&](const CompiledOperand& op,
-                               double* out) -> Token {
-        Token tok = Token::invalid();
-        switch (op.kind) {
-          case OperandKind::kSwitch: {
-            tok = s.dst_in[static_cast<std::size_t>(op.index)];
-            const double* col = s.dst_vals.data() +
-                                static_cast<std::size_t>(op.index) *
-                                    static_cast<std::size_t>(W);
-            for (int l = 0; l < W; ++l) out[l] = col[l];
-            break;
-          }
-          case OperandKind::kChain:
-            if (op.index >= 0) {
-              tok = s.src_out[static_cast<std::size_t>(op.index)];
-              const double* col = s.src_vals.data() +
-                                  static_cast<std::size_t>(op.index) *
-                                      static_cast<std::size_t>(W);
-              for (int l = 0; l < W; ++l) out[l] = col[l];
-            } else {
-              for (int l = 0; l < W; ++l) out[l] = 0.0;
-            }
-            break;
-          case OperandKind::kConst:
-            for (int l = 0; l < W; ++l) out[l] = fu.rf_value;
-            return Token::constant(fu.rf_value);
-          case OperandKind::kFeedback:
-            for (int l = 0; l < W; ++l) out[l] = acc[l];
-            return Token{0.0, true, false, -1};
-          case OperandKind::kNone:
-            for (int l = 0; l < W; ++l) out[l] = 0.0;
-            return tok;
-        }
-        if (op.queue) {
-          Token* queue = s.arena.data() + fu.rfq_off;
-          double* qcol = s.arena_vals.data() +
-                         static_cast<std::size_t>(fu.rfq_off + st.rfq_pos) *
-                             static_cast<std::size_t>(W);
-          const Token delayed = queue[st.rfq_pos];
-          queue[st.rfq_pos] = tok;
-          for (int l = 0; l < W; ++l) {
-            const double d = qcol[l];
-            qcol[l] = out[l];
-            out[l] = d;
-          }
-          st.rfq_pos = st.rfq_pos + 1 == fu.rfq_len ? 0 : st.rfq_pos + 1;
-          tok = delayed;
-        }
-        return tok;
-      };
-
-      const Token a = operand(fu.a, s.a_vals.data());
-      const Token b = operand(fu.b, s.b_vals.data());
-      double* res = s.res_vals.data();
-
-      Token result = Token::invalid();
-      if (fu.is_accum) {
-        const Token& stream = fu.accum_stream_is_a ? a : b;
-        if (stream.valid) {
-          evalLanes<KW>(fu.op, s.a_vals.data(), s.b_vals.data(), acc, W);
-          if (fu.counts_flop) ++stats.flops;
-          ++fu_launches_[static_cast<std::size_t>(fu.fu)];
-        }
-        // The unit emits the running value every cycle (valid only on the
-        // final element), so the result column is always the accumulator.
-        for (int l = 0; l < W; ++l) res[l] = acc[l];
-        result = Token{0.0, stream.valid && stream.last,
-                       stream.valid && stream.last, stream.index};
-      } else {
-        bool valid = fu.a.wired ? a.valid : false;
-        if (fu.b.wired) valid = valid && b.valid;
-        if (fu.a.stream && fu.b.stream && a.valid != b.valid) ++stats.hazards;
-        if (valid) {
-          evalLanes<KW>(fu.op, s.a_vals.data(), s.b_vals.data(), res, W);
-          result.valid = true;
-          result.last = (fu.a.wired && a.last) || (fu.b.wired && b.last);
-          result.index = a.index >= 0 ? a.index : b.index;
-          if (fu.counts_flop) ++stats.flops;
-          ++fu_launches_[static_cast<std::size_t>(fu.fu)];
-        } else {
-          for (int l = 0; l < W; ++l) res[l] = 0.0;
-        }
-      }
-
-      Token* pipe = s.arena.data() + fu.pipe_off;
-      double* pcol = s.arena_vals.data() +
-                     static_cast<std::size_t>(fu.pipe_off + st.pipe_pos) *
-                         static_cast<std::size_t>(W);
-      double* out_col = s.src_vals.data() +
-                        static_cast<std::size_t>(fu.out_src) *
-                            static_cast<std::size_t>(W);
-      s.src_out[static_cast<std::size_t>(fu.out_src)] = pipe[st.pipe_pos];
-      pipe[st.pipe_pos] = result;
-      for (int l = 0; l < W; ++l) {
-        out_col[l] = pcol[l];
-        pcol[l] = res[l];
-      }
-      st.pipe_pos = st.pipe_pos + 1 == fu.pipe_len ? 0 : st.pipe_pos + 1;
-    }
-
-    // Phase 2a: write engines capture arriving tokens.
-    for (std::size_t i = 0; i < ci.writes.size(); ++i) {
-      const CompiledDma& wr = ci.writes[i];
-      Scratch::DmaRun& run = s.writes[i];
-      if (run.element >= wr.total) continue;
-      const Token& tok = s.dst_in[static_cast<std::size_t>(wr.endpoint)];
-      if (!tok.valid) continue;
-      const auto addr = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(wr.base) +
-          static_cast<std::int64_t>(run.row) * wr.stride2 +
-          static_cast<std::int64_t>(run.in_row) * wr.stride);
-      ++run.element;
-      if (++run.in_row == wr.count) {
-        run.in_row = 0;
-        ++run.row;
-      }
-      std::vector<double>& mem =
-          wr.is_cache ? caches_[static_cast<std::size_t>(wr.unit)]
-                               [static_cast<std::size_t>(wr.buffer)]
-                      : planes_[static_cast<std::size_t>(wr.unit)];
-      const std::uint64_t addr_base = addr * static_cast<std::uint64_t>(W);
-      if (addr_base < mem.size()) {
-        const double* col = s.dst_vals.data() +
-                            static_cast<std::size_t>(wr.endpoint) *
-                                static_cast<std::size_t>(W);
-        double* dst = mem.data() + addr_base;
-        for (int l = 0; l < W; ++l) dst[l] = col[l];
-      }
-    }
-
-    // Phase 2b: condition latch watches the source FU's emerging stream.
-    if (ci.cond_enable && ci.cond_src >= 0) {
-      const Token& tok = s.src_out[static_cast<std::size_t>(ci.cond_src)];
-      if (tok.valid && tok.last) {
-        const double* col = s.src_vals.data() +
-                            static_cast<std::size_t>(ci.cond_src) *
-                                static_cast<std::size_t>(W);
-        std::uint8_t* regs =
-            cond_.data() + static_cast<std::size_t>(ci.cond_reg) *
-                               static_cast<std::size_t>(W);
-        for (int l = 0; l < W; ++l) regs[l] = col[l] > 0.5 ? 1 : 0;
-        cond_fired = true;
-      }
-    }
-
-    // Phase 3: switch network transfers (registered: consumers see these
-    // tokens next cycle).
-    for (const auto& [dst, src] : ci.routes) {
-      s.dst_in[static_cast<std::size_t>(dst)] =
-          s.src_out[static_cast<std::size_t>(src)];
-      const double* from = s.src_vals.data() +
-                           static_cast<std::size_t>(src) *
-                               static_cast<std::size_t>(W);
-      double* to = s.dst_vals.data() +
-                   static_cast<std::size_t>(dst) * static_cast<std::size_t>(W);
-      for (int l = 0; l < W; ++l) to[l] = from[l];
-    }
-
-    // Phase 4: shift/delay history advances on the freshly routed input.
-    for (std::size_t i = 0; i < ci.sds.size(); ++i) {
-      const CompiledSd& sd = ci.sds[i];
-      s.arena[sd.hist_off + s.sd_pos[i]] =
-          s.dst_in[static_cast<std::size_t>(sd.in_dst)];
-      const double* from = s.dst_vals.data() +
-                           static_cast<std::size_t>(sd.in_dst) *
-                               static_cast<std::size_t>(W);
-      double* to = s.arena_vals.data() +
-                   static_cast<std::size_t>(sd.hist_off + s.sd_pos[i]) *
-                       static_cast<std::size_t>(W);
-      for (int l = 0; l < W; ++l) to[l] = from[l];
-      s.sd_pos[i] = s.sd_pos[i] + 1 == sd.hist_len ? 0 : s.sd_pos[i] + 1;
-    }
-  };
-
-  // Fill / steady / drain structure, completion logic, and timeout faulting
-  // below mirror NodeSim::executeCompiled exactly (block bounds are shape
-  // state, identical for every lane).
-  std::uint64_t cycle = 0;
-  bool completed = false;
-  while (!completed) {
-    if (cycle >= options_.max_cycles_per_instruction) {
-      stats.error = true;
-      stats.fault = FaultKind::kTimeout;
-      stats.error_message = common::strFormat(
-          "instruction %d did not complete within %llu cycles", instr_index,
-          static_cast<unsigned long long>(options_.max_cycles_per_instruction));
-      stats.cycles = cycle;
-      return stats;
-    }
-
-    std::uint64_t block = 0;
-    std::uint64_t reads_settle = 0;
-    if (!ci.cond_enable) {
-      if (!ci.writes.empty()) {
-        std::uint64_t rem = 0;
-        for (std::size_t i = 0; i < ci.writes.size(); ++i) {
-          rem = std::max(rem, ci.writes[i].total - s.writes[i].element);
-        }
-        block = rem > 0 ? rem - 1 : 0;
-      } else if (!ci.reads.empty()) {
-        std::uint64_t rem = 0;
-        for (std::size_t i = 0; i < ci.reads.size(); ++i) {
-          rem = std::max(rem, ci.reads[i].total - s.reads[i].element);
-        }
-        reads_settle = std::max<std::uint64_t>(rem, 1);
-        block = reads_settle + drain_budget - drain - 1;
-      }
-    }
-    block = std::min(block, options_.steady_block_override
-                                ? options_.steady_block_override
-                                : std::uint64_t{ci.steady_window});
-    block = std::min(block, options_.max_cycles_per_instruction - cycle - 1);
-    if (block > 0) {
-      for (std::uint64_t b = 0; b < block; ++b) stepCycle();
-      if (ci.writes.empty() && !ci.reads.empty() && block >= reads_settle) {
-        drain += block - reads_settle + 1;
-      }
-      cycle += block;
-      continue;
-    }
-
-    stepCycle();
-    ++cycle;
-
-    const bool cond_ok = !ci.cond_enable || cond_fired;
-    if (!ci.writes.empty()) {
-      bool writes_done = true;
-      for (std::size_t i = 0; i < ci.writes.size(); ++i) {
-        writes_done = writes_done && s.writes[i].element >= ci.writes[i].total;
-      }
-      completed = writes_done && cond_ok;
-    } else if (!ci.reads.empty()) {
-      bool reads_done = true;
-      for (std::size_t i = 0; i < ci.reads.size(); ++i) {
-        reads_done = reads_done && s.reads[i].element >= ci.reads[i].total;
-      }
-      if (reads_done && cond_ok) {
-        completed = ++drain > drain_budget;
-      }
-    } else {
-      completed = true;
-    }
-  }
-
-  for (const arch::CacheId c : ci.swaps) {
-    std::swap(caches_[static_cast<std::size_t>(c)][0],
-              caches_[static_cast<std::size_t>(c)][1]);
-  }
-
-  stats.cycles = cycle;
-  return stats;
-}
-
 BatchRunResult ReplicaBatch::run() {
-  const int W = lanes_;
-  const std::size_t n_fus = fu_launches_.size();
+  const int W = lanes();
+  std::vector<std::uint64_t>& fu_launches = state_.fu_launches;
+  const std::size_t n_fus = fu_launches.size();
   BatchRunResult out;
   runs_.assign(static_cast<std::size_t>(W), RunStats{});
   for (RunStats& r : runs_) r.fu_launches.assign(n_fus, 0);
-  std::fill(fu_launches_.begin(), fu_launches_.end(), 0);
+  std::fill(fu_launches.begin(), fu_launches.end(), 0);
   active_.assign(static_cast<std::size_t>(W), 1);
   int active_count = W;
   std::uint64_t executed = 0;
 
-  // Lanes that left the batch in an earlier run stay scalar for good: their
+  // Lanes that left the batch in an earlier run stay out for good: their
   // continuation nodes already hold the lane's exact state, so each further
-  // run (a new SPMD phase after restart()) simply executes on the reference
-  // engine and reports that run's stats, like any scalar node would.
+  // run (a new SPMD phase after restart()) simply executes there and
+  // reports that run's stats, like any node would.
   for (int w = 0; w < W; ++w) {
     const auto lane = static_cast<std::size_t>(w);
     if (retired_[lane] == nullptr) continue;
@@ -720,12 +162,11 @@ BatchRunResult ReplicaBatch::run() {
       if (active_[static_cast<std::size_t>(w)]) fn(w);
     }
   };
-  // Retires lane `w` into a private scalar NodeSim that finishes the run on
-  // the reference engine; the node also keeps the lane's final memory for
-  // post-run readPlane/readCache.
+  // Retires lane `w` into a private NodeSim that finishes the run; the node
+  // also keeps the lane's final memory for post-run readPlane/readCache.
   const auto retire = [&](int w, int lane_pc, bool lane_halted) {
     RunStats& r = runs_[static_cast<std::size_t>(w)];
-    r.fu_launches = fu_launches_;
+    r.fu_launches = fu_launches;
     auto node = extractLane(w, lane_pc, lane_halted, executed);
     RunStats cont = node->run();
     if (cont.instructions_executed > 0) ++out.drained_scalar;
@@ -736,9 +177,10 @@ BatchRunResult ReplicaBatch::run() {
   };
 
   const std::size_t program_size = program_ ? program_->size() : 0;
-  if (program_size == 0 && !halted_) {
-    // Degenerate case the scalar engine spins on deterministically; defer
-    // to it wholesale rather than replicating the spin here.
+  if (!options_.use_compiled || (program_size == 0 && !halted_)) {
+    // The interpreter oracle runs per lane, and so does the degenerate
+    // empty program NodeSim spins on deterministically: retire every lane
+    // rather than replicating either here.
     forActive([&](int w) { retire(w, pc_, halted_); });
     out.runs = std::move(runs_);
     return out;
@@ -749,7 +191,7 @@ BatchRunResult ReplicaBatch::run() {
       forActive([&](int w) {
         RunStats& r = runs_[static_cast<std::size_t>(w)];
         r.halted = true;
-        r.fu_launches = fu_launches_;
+        r.fu_launches = fu_launches;
         active_[static_cast<std::size_t>(w)] = 0;
       });
       break;
@@ -759,7 +201,7 @@ BatchRunResult ReplicaBatch::run() {
         RunStats& r = runs_[static_cast<std::size_t>(w)];
         r.error = true;
         r.error_message = "instruction budget exhausted";
-        r.fu_launches = fu_launches_;
+        r.fu_launches = fu_launches;
         active_[static_cast<std::size_t>(w)] = 0;
       });
       break;
@@ -771,7 +213,8 @@ BatchRunResult ReplicaBatch::run() {
     const std::string& name =
         slot < program_->names.size() ? program_->names[slot] : kUnnamed;
     InstrStats instr =
-        executeCompiledBatch(program_->instrs[slot], index, name);
+        state_.executeCompiledBatch(program_->instrs[slot], index, name,
+                                    options_.max_cycles_per_instruction);
     ++executed;
     forActive([&](int w) {
       RunStats& r = runs_[static_cast<std::size_t>(w)];
@@ -783,10 +226,10 @@ BatchRunResult ReplicaBatch::run() {
     });
     if (instr.error) {
       // Shape-level faults hit every lockstep lane identically, exactly as
-      // each scalar replica would fault on its own.  The shared sequencer
-      // halts like NodeSim::run does on error, so a later restart()+run()
-      // (the next SPMD phase) replays identically to scalar nodes restarted
-      // after the same fault.
+      // each replica would fault on its own.  The shared sequencer halts
+      // like NodeSim::run does on error, so a later restart()+run() (the
+      // next SPMD phase) replays identically to nodes restarted after the
+      // same fault.
       halted_ = true;
       forActive([&](int w) {
         RunStats& r = runs_[static_cast<std::size_t>(w)];
@@ -794,7 +237,7 @@ BatchRunResult ReplicaBatch::run() {
         r.fault = instr.fault;
         r.error_message = instr.error_message;
         r.halted = true;
-        r.fu_launches = fu_launches_;
+        r.fu_launches = fu_launches;
         active_[static_cast<std::size_t>(w)] = 0;
       });
       break;
@@ -848,7 +291,7 @@ BatchRunResult ReplicaBatch::run() {
 
     // Per-lane branch: partition active lanes by outcome.
     const std::uint8_t* regs =
-        cond_.data() + static_cast<std::size_t>(plan.seq_cond_reg) *
+        state_.cond.data() + static_cast<std::size_t>(plan.seq_cond_reg) *
                            static_cast<std::size_t>(W);
     int keys[2] = {0, 0};
     int counts[2] = {0, 0};
@@ -880,7 +323,7 @@ BatchRunResult ReplicaBatch::run() {
     }
     // Keep the largest live group in the batch (ties favour the group seen
     // first, i.e. containing the lowest lane index); every other lane
-    // leaves for the scalar engine.
+    // leaves for a private NodeSim.
     int keep = -1;
     int keep_count = -1;
     for (int i = 0; i < n_keys; ++i) {

@@ -1,118 +1,83 @@
-// ReplicaBatch: structure-of-arrays batched execution of one CompiledProgram
-// over W replica lanes (ensembles as the vector axis).
+// ReplicaBatch: W lanes of one CompiledProgram stepped in lockstep — the
+// ensemble axis (runEnsemble replicas) and the SPMD axis (the node lane
+// groups of a HypercubeSystem) alike.
 //
-// runEnsemble replicas execute the *same* compiled instruction stream over
-// different data.  In this machine the timing of every token — validity,
-// last-element marks, DMA cursor positions, ring offsets, launch decisions,
-// completion interrupts — is data-independent: only token *values*,
-// accumulator contents, and latched condition booleans depend on the data.
-// ReplicaBatch exploits that split.  Per-node state is packed as
-// structure-of-arrays (a plane word `addr` holds lanes at
-// `mem[addr * W + w]`), one *shape* copy of every token stream is stepped
-// exactly as the scalar compiled engine does (compiled_exec.cpp), and only
-// the value arithmetic runs as contiguous W-wide inner loops — no per-lane
-// dispatch, auto-vectorizable, one CompiledInstr stepping all lanes per
-// cycle inside the verifier-proven steady blocks.
+// Every lane runs the same compiled instruction stream over its own data,
+// and in this machine the timing of every token is data-independent, so a
+// batch owns one W-lane sim::LaneState and steps it with the one compiled
+// stepper (LaneState::executeCompiledBatch): one shape copy of every token
+// stream per cycle, values W-wide.  A width-1 batch runs exactly what a
+// NodeSim runs.
 //
-// Lanes therefore run in exact lockstep until the *sequencer* consults a
-// condition register (kBranchIf / kBranchNot) whose per-lane values
-// disagree.  At that instruction boundary the batch keeps the largest
-// agreeing lane group and retires every other lane into a private scalar
-// NodeSim — seeded with an exact de-interleaved copy of the lane's memory,
-// condition registers, and loop counters — which finishes the run on the
-// reference engine.  Faults (compile-time DMA bounds, cycle timeouts) are
-// shape-level and hit every lockstep lane identically, exactly as the same
-// replicas would fault one by one on the scalar engine.  The golden tests
-// in test_compiled.cpp / test_workbench.cpp pin every lane's InstrStats,
-// fu_launches, planes, and caches bit-identical to a scalar NodeSim run.
+// Lanes run in exact lockstep until the *sequencer* consults a condition
+// register (kBranchIf / kBranchNot) whose per-lane values disagree.  At
+// that instruction boundary the batch keeps the largest agreeing lane group
+// and retires every other lane into a private NodeSim — seeded with an
+// exact de-interleaved copy of the lane's memory, condition registers, and
+// loop counters — which finishes the run on the same stepper at W = 1.
+// Faults (compile-time DMA bounds, cycle timeouts) are shape-level and hit
+// every lockstep lane identically, exactly as the same replicas would fault
+// one by one.  The golden tests in test_compiled.cpp / test_hypercube.cpp
+// pin every lane's InstrStats, fu_launches, planes, and caches
+// bit-identical to the legacy interpreter run one replica at a time.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "arch/machine.h"
 #include "sim/compiled.h"
+#include "sim/lane_state.h"
 #include "sim/node.h"
 #include "sim/stats.h"
-#include "sim/token.h"
 
 namespace nsc::sim {
 
-// Host-side seeding interface over one replica's memory, implemented by
-// both execution paths (a scalar NodeSim and one lane of a ReplicaBatch),
-// so a single per-replica init callback seeds either engine identically.
-class ReplicaStore {
- public:
-  virtual void writePlane(arch::PlaneId plane, std::uint64_t base,
-                          std::span<const double> values) = 0;
-  virtual void writeCache(arch::CacheId cache, int buffer, std::uint64_t base,
-                          std::span<const double> values) = 0;
-
- protected:
-  ~ReplicaStore() = default;
-};
-
-// Adapter: a NodeSim as a ReplicaStore (the scalar ensemble path).
-class NodeReplicaStore final : public ReplicaStore {
- public:
-  explicit NodeReplicaStore(NodeSim& node) : node_(node) {}
-  void writePlane(arch::PlaneId plane, std::uint64_t base,
-                  std::span<const double> values) override {
-    node_.writePlane(plane, base, values);
-  }
-  void writeCache(arch::CacheId cache, int buffer, std::uint64_t base,
-                  std::span<const double> values) override {
-    node_.writeCache(cache, buffer, base, values);
-  }
-
- private:
-  NodeSim& node_;
-};
-
 struct BatchRunResult {
   std::vector<RunStats> runs;  // runs[w] is lane w's full-run stats
-  // Lanes that left the batch at a divergence point and executed at least
-  // one instruction on the scalar reference engine.
+  // Lanes that left the batch (at a divergence point, or all of them under
+  // use_compiled = false) and executed at least one instruction on a
+  // private NodeSim.
   int drained_scalar = 0;
 };
 
 class ReplicaBatch {
  public:
-  static constexpr int kMaxLanes = 64;
+  static constexpr int kMaxLanes = sim::kMaxLanes;
 
+  // `lanes` is clamped to [1, kMaxLanes].
   ReplicaBatch(const arch::Machine& machine, int lanes,
                NodeSim::Options options = {});
 
-  int lanes() const { return lanes_; }
+  int lanes() const { return state_.lanes(); }
 
   // Loads a compiled program (shared, immutable) and re-arms the sequencer;
   // lane memory is untouched, like NodeSim::load.  Lanes already retired to
-  // scalar continuation nodes load the same image (with a fresh instruction
+  // continuation nodes load the same image (with a fresh instruction
   // budget), exactly as per-node load would.
   void load(std::shared_ptr<const CompiledProgram> program);
 
   // Re-arms the sequencer at instruction 0 for the next phase without
   // touching lane memory — NodeSim::restart applied to every lane at once
   // (pc, halt flag, condition registers, loop counters).  Retired lanes
-  // restart their scalar continuation nodes with the full per-run
-  // instruction budget restored, exactly like a scalar node re-entering a
-  // phase; the SPMD phase driver (sim/node_batch.h) calls this between
-  // compute phases.
+  // restart their continuation nodes with the full per-run instruction
+  // budget restored, exactly like a node re-entering a phase; the SPMD
+  // phase driver (sim/hypercube.h) calls this between compute phases.
   void restart();
 
-  // ---- Per-lane host memory access (scalar-engine semantics per lane) ----
+  // ---- Per-lane host memory access (NodeSim semantics per lane) ----
   void writePlane(int lane, arch::PlaneId plane, std::uint64_t base,
                   std::span<const double> values);
   void writeCache(int lane, arch::CacheId cache, int buffer,
                   std::uint64_t base, std::span<const double> values);
   std::vector<double> readPlane(int lane, arch::PlaneId plane,
                                 std::uint64_t base, std::uint64_t count) const;
-  // Copy-free gather of one lane's plane words (scalar readPlaneInto
+  // Copy-free gather of one lane's plane words (NodeSim::readPlaneInto
   // semantics: zero-fill beyond the lane's backing store) — the exchange
-  // staging path of batched hypercube systems reads halo vectors this way.
+  // staging path of hypercube systems reads halo vectors this way.
   void readPlaneInto(int lane, arch::PlaneId plane, std::uint64_t base,
                      std::span<double> out) const;
   std::vector<double> readCache(int lane, arch::CacheId cache, int buffer,
@@ -136,98 +101,44 @@ class ReplicaBatch {
   };
 
   // Runs every lane from the current pc to halt / error / budget, batched
-  // while lanes agree and scalar-drained after divergence.  Per-lane
+  // while lanes agree and on private NodeSims after divergence.  Per-lane
   // results are index-stable.  Re-runnable across load()/restart()
   // boundaries: each call reports that run only, and lanes retired in an
-  // earlier run continue on their scalar continuation nodes (counted in
+  // earlier run continue on their continuation nodes (counted in
   // BatchRunResult::drained_scalar), so a multi-phase SPMD driver can
-  // restart() + run() per phase with per-phase stats identical to scalar
-  // nodes.
+  // restart() + run() per phase with per-phase stats identical to
+  // per-node runs.
   BatchRunResult run();
 
  private:
-  // The SoA compiled engine: one CompiledInstr across all lanes (shape
-  // stepped once, values W-wide); mirrors executeCompiled cycle for cycle.
-  // Dispatches to the KW-specialized body so the common widths run with
-  // compile-time-constant lane loops (fully unrolled / vectorized); KW = 0
-  // is the runtime-width fallback for unusual lane counts.
-  InstrStats executeCompiledBatch(const CompiledInstr& ci, int instr_index,
-                                  const std::string& name);
-  template <int KW>
-  InstrStats executeCompiledBatchT(const CompiledInstr& ci, int instr_index,
-                                   const std::string& name);
-  // Cache buffers allocate lazily on first write (host or DMA); empty means
-  // all-zero, exactly what a scalar NodeSim's pre-zeroed buffer reads as.
-  std::vector<double>& cacheStore(std::size_t cache, std::size_t buffer);
-  // Grows plane SoA backing (and each lane's scalar-equivalent logical
-  // size) exactly like NodeSim::ensurePlaneSize does per replica.
-  void ensurePlaneSize(arch::PlaneId plane, std::uint64_t needed);
   // De-interleaves lane `w` into a private NodeSim carrying the lane's
-  // exact mid-run state; the node finishes the run on the scalar engine.
+  // exact mid-run state; the node finishes the run on its own.
   std::unique_ptr<NodeSim> extractLane(int w, int lane_pc, bool lane_halted,
                                        std::uint64_t executed) const;
 
-  const arch::Machine& machine_;
   NodeSim::Options options_;
-  const int lanes_;
-
   std::shared_ptr<const CompiledProgram> program_;
 
-  // ---- Persistent per-lane machine state, SoA ----
-  // planes_[p] holds plane_words_[p] * W doubles, address-major.
-  std::vector<std::vector<double>> planes_;
-  std::vector<std::uint64_t> plane_words_;  // shared physical words per plane
-  // What a scalar NodeSim's backing store size would be for this lane
-  // (lane_plane_words_[p][w]); host reads/writes and lane extraction use it
-  // so per-lane growth history stays observably identical to the scalar
-  // engine.  DMA in-range checks may use the shared physical size: both
-  // sizes cover every non-wrapped DMA address (plane_grows ran), so the
-  // comparisons agree.
-  std::vector<std::vector<std::uint64_t>> lane_plane_words_;
-  // [c][buf]: SoA, lazily allocated (empty buffer == all zeros).
-  std::vector<std::vector<std::vector<double>>> caches_;
-  std::vector<std::uint8_t> cond_;  // [reg * W + w]
+  // Per-lane machine state (SoA) and the shared lockstep sequencer.
+  LaneState state_;
   std::vector<std::optional<int>> loop_counters_;  // shared: lanes in lockstep
   int pc_ = 0;
   bool halted_ = false;
-
-  // Shared run accounting (identical for every lockstep lane).
-  std::vector<std::uint64_t> fu_launches_;
 
   // Lanes retired mid-run (divergence): the NodeSim holds the lane's final
   // memory, so readPlane/readCache route through it after run().
   std::vector<std::unique_ptr<NodeSim>> retired_;
   std::vector<std::uint8_t> active_;
   std::vector<RunStats> runs_;
-
-  // ---- Reusable per-instruction execution state ----
-  // Shape arrays mirror NodeSim::Scratch one-for-one; `*_vals` carry the
-  // per-lane token values (endpoint- or slot-major, W contiguous lanes).
-  struct Scratch {
-    std::vector<Token> src_out, dst_in, arena;
-    std::vector<double> src_vals, dst_vals, arena_vals;
-    struct FuRun {
-      std::uint32_t pipe_pos = 0;
-      std::uint32_t rfq_pos = 0;
-    };
-    std::vector<FuRun> fu;
-    std::vector<double> acc;  // [fu_slot * W + w]
-    struct DmaRun {
-      std::uint64_t element = 0;
-      std::uint64_t row = 0;
-      std::uint64_t in_row = 0;
-    };
-    std::vector<DmaRun> reads, writes;
-    std::vector<std::uint32_t> sd_pos;
-    std::vector<double> a_vals, b_vals, res_vals;  // W-wide operand staging
-  };
-  Scratch scratch_;
 };
 
-// Resolves the effective ensemble lane width: an explicit request >= 1 wins
-// (clamped to kMaxLanes), else the NSC_ENSEMBLE_LANES environment variable,
-// else kDefaultEnsembleLanes.  1 selects the scalar per-replica path.
+// Resolve the effective lane width of ensemble batches
+// (NSC_ENSEMBLE_LANES) and of hypercube node groups (NSC_NODE_LANES): an
+// explicit request >= 1 wins (clamped to kMaxLanes), else the environment
+// variable, else the default.  1 runs one lane per batch.
 inline constexpr int kDefaultEnsembleLanes = 8;
+inline constexpr int kDefaultNodeLanes = 8;
 int resolveEnsembleLanes(int requested);
+int resolveNodeLanes(int requested);
 
 }  // namespace nsc::sim

@@ -449,14 +449,10 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
         lowerPlan(machine, program->plans.back(), static_cast<int>(i)));
   }
 
-  // Verify once here so the report (and the proven steady-state windows it
-  // justifies) ride the shared program pointer through the cache.
-  auto report = std::make_shared<VerifyReport>(
+  // Verify once here so the report rides the shared program pointer
+  // through the cache.
+  program->verify = std::make_shared<VerifyReport>(
       ProgramVerifier(machine).verify(*program));
-  for (std::size_t i = 0; i < program->instrs.size(); ++i) {
-    program->instrs[i].steady_window = report->instrs[i].steady_window;
-  }
-  program->verify = std::move(report);
   return program;
 }
 

@@ -14,11 +14,13 @@
 // nodes of a HypercubeSystem running the same SPMD executable share one
 // compiled image instead of 64 private decoded copies.
 //
-// Both execution engines consume this program: the legacy cycle interpreter
-// (NodeSim::execute, kept as the semantic reference behind
-// NodeOptions::use_compiled = false) walks the InstrPlans; the compiled
-// engine walks the CompiledInstrs.  The golden tests in test_compiled.cpp
-// pin the two to bit-identical InstrStats and memory contents.
+// Two executors consume this program: the compiled stepper
+// (LaneState::executeCompiledBatch, sim/lane_state.h — the only code that
+// steps a CompiledInstr, for a NodeSim and for every lane group alike)
+// walks the CompiledInstrs; the legacy cycle interpreter (NodeSim::execute,
+// the test-only oracle behind NodeOptions::use_compiled = false) walks the
+// InstrPlans.  The golden tests in test_compiled.cpp pin the two to
+// bit-identical InstrStats and memory contents.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +38,9 @@ namespace nsc::sim {
 struct VerifyReport;  // sim/verify.h
 
 // Drain budget for read-only pipelines: enough cycles for every FU latency
-// in the machine plus the register-file and shift/delay queue depths.  All
-// three execution engines (interpreter, compiled, SoA batch) share this so
-// the completion rule cannot drift between them.
+// in the machine plus the register-file and shift/delay queue depths.  The
+// interpreter and the compiled stepper share this so the completion rule
+// cannot drift between them.
 inline std::uint64_t drainBudget(const arch::MachineConfig& cfg) {
   return 64 + static_cast<std::uint64_t>(cfg.rf_max_delay) +
          static_cast<std::uint64_t>(cfg.sd_max_delay);
@@ -156,7 +158,7 @@ struct CompiledSd {
 };
 
 // A fault proven at compile time: the instruction refuses to issue and both
-// engines report it as this typed fault instead of executing.
+// executors report it as this typed fault instead of executing.
 struct InstrFault {
   FaultKind kind = FaultKind::kNone;
   arch::Endpoint endpoint{};   // offending endpoint (e.g. the DMA plane)
@@ -182,9 +184,6 @@ struct CompiledInstr {
   std::int32_t cond_src = -1;  // src_out index watched by the latch
   std::int32_t cond_reg = 0;
   std::uint32_t ring_slots = 0;  // total token-arena size for this instr
-  // Proven-safe steady-state block for executeCompiled, derived by the
-  // verifier (sim/verify.h); stays at the conservative 64 when unproven.
-  std::uint32_t steady_window = 64;
 };
 
 // An immutable, shareable compiled program: decoded plans (sequencer +

@@ -19,20 +19,13 @@ HypercubeSystem::HypercubeSystem(const arch::Machine& machine, int dimension,
       pool_(pool != nullptr ? pool : &exec::ThreadPool::shared()),
       cache_(cache != nullptr ? cache : &CompiledProgramCache::shared()) {
   const int n = 1 << dimension_;
-  if (node_lanes_ <= 1) {
-    nodes_.reserve(idx(n));
-    for (int i = 0; i < n; ++i) {
-      nodes_.push_back(std::make_unique<NodeSim>(machine_, options.node));
-    }
-  } else {
-    // Contiguous-id lane groups: node (g * W + w) is lane w of group g.
-    // The tail group narrows when W doesn't divide 2^d (non-power-of-two
-    // widths from NSC_NODE_LANES).
-    for (int base = 0; base < n; base += node_lanes_) {
-      const int width = std::min(node_lanes_, n - base);
-      groups_.push_back(
-          std::make_unique<NodeBatch>(machine_, width, options.node));
-    }
+  // Contiguous-id lane groups: node (g * W + w) is lane w of group g.  The
+  // tail group narrows when W doesn't divide 2^d (non-power-of-two widths
+  // from NSC_NODE_LANES).
+  for (int base = 0; base < n; base += node_lanes_) {
+    const int width = std::min(node_lanes_, n - base);
+    groups_.push_back(
+        std::make_unique<ReplicaBatch>(machine_, width, options.node));
   }
   exchange_cost_.assign(idx(n), 0);
 }
@@ -72,48 +65,30 @@ std::uint64_t HypercubeSystem::transferCycles(int src, int dst,
 void HypercubeSystem::writePlane(int node, arch::PlaneId plane,
                                  std::uint64_t base,
                                  std::span<const double> values) {
-  if (node_lanes_ <= 1) {
-    nodes_.at(idx(node))->writePlane(plane, base, values);
-  } else {
-    group(node).writePlane(laneOf(node), plane, base, values);
-  }
+  group(node).writePlane(laneOf(node), plane, base, values);
 }
 
 void HypercubeSystem::writeCache(int node, arch::CacheId cache, int buffer,
                                  std::uint64_t base,
                                  std::span<const double> values) {
-  if (node_lanes_ <= 1) {
-    nodes_.at(idx(node))->writeCache(cache, buffer, base, values);
-  } else {
-    group(node).writeCache(laneOf(node), cache, buffer, base, values);
-  }
+  group(node).writeCache(laneOf(node), cache, buffer, base, values);
 }
 
 std::vector<double> HypercubeSystem::readPlane(int node, arch::PlaneId plane,
                                                std::uint64_t base,
                                                std::uint64_t count) const {
-  if (node_lanes_ <= 1) {
-    return nodes_.at(idx(node))->readPlane(plane, base, count);
-  }
   return group(node).readPlane(laneOf(node), plane, base, count);
 }
 
 void HypercubeSystem::readPlaneInto(int node, arch::PlaneId plane,
                                     std::uint64_t base,
                                     std::span<double> out) const {
-  if (node_lanes_ <= 1) {
-    nodes_.at(idx(node))->readPlaneInto(plane, base, out);
-  } else {
-    group(node).readPlaneInto(laneOf(node), plane, base, out);
-  }
+  group(node).readPlaneInto(laneOf(node), plane, base, out);
 }
 
 std::vector<double> HypercubeSystem::readCache(int node, arch::CacheId cache,
                                                int buffer, std::uint64_t base,
                                                std::uint64_t count) const {
-  if (node_lanes_ <= 1) {
-    return nodes_.at(idx(node))->readCache(cache, buffer, base, count);
-  }
   return group(node).readCache(laneOf(node), cache, buffer, base, count);
 }
 
@@ -125,10 +100,10 @@ std::uint64_t HypercubeSystem::sendVector(int src_node,
                                           std::uint64_t dst_base) {
   // Stage through a reusable buffer instead of a per-message allocation;
   // exchanges run on the calling thread (beginExchange/endExchange are not
-  // concurrent), so one scratch vector per system suffices.  On the batched
-  // engine this is the per-lane staging step: the facade gathers the source
-  // halo lane-major out of its group's SoA columns and scatters it into the
-  // destination lane, so the router never sees the interleaved layout.
+  // concurrent), so one scratch vector per system suffices.  This is the
+  // per-lane staging step: the facade gathers the source halo lane-major
+  // out of its group's SoA columns and scatters it into the destination
+  // lane, so the router never sees the interleaved layout.
   send_scratch_.resize(count);
   readPlaneInto(src_node, src_plane, src_base, send_scratch_);
   writePlane(dst_node, dst_plane, dst_base, send_scratch_);
@@ -154,55 +129,40 @@ void HypercubeSystem::loadAll(const mc::Executable& exe,
 }
 
 void HypercubeSystem::loadAll(std::shared_ptr<const CompiledProgram> program) {
-  // SPMD: every node (or lane group) aliases the same immutable compiled
-  // image; nothing is decoded or copied per node.
-  for (auto& node : nodes_) node->load(program);
+  // SPMD: every lane group aliases the same immutable compiled image;
+  // nothing is decoded or copied per node.
   for (auto& g : groups_) g->load(program);
 }
 
 void HypercubeSystem::restartAll() {
-  for (auto& node : nodes_) node->restart();
   for (auto& g : groups_) g->restart();
 }
 
 void HypercubeSystem::runPhase(SystemStats& stats) {
   const int n = numNodes();
   std::vector<RunStats> results(idx(n));
-  int drained_scalar = 0;
-  if (node_lanes_ <= 1) {
-    // Nodes are fully independent between exchanges; simulate on the shared
-    // pool (distributed-memory model, one rank per node).  Each result
-    // lands in its own slot, so scheduling order cannot affect the outcome.
-    pool_->parallelFor(0, idx(n), 1,
-                       [&results, this](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           results[i] = nodes_[i]->run();
-                         }
-                       });
-  } else {
-    // Batched: one task per lane group, each stepping up to node_lanes_
-    // nodes through the shared instruction stream.  Lane results scatter
-    // into node-id order so the folding loop below is engine-agnostic.
-    std::vector<BatchRunResult> group_results(groups_.size());
-    pool_->parallelFor(0, groups_.size(), 1,
-                       [&group_results, this](std::size_t begin,
-                                              std::size_t end) {
-                         for (std::size_t g = begin; g < end; ++g) {
-                           group_results[g] = groups_[g]->runPhase();
-                         }
-                       });
-    std::size_t node_id = 0;
-    for (std::size_t g = 0; g < group_results.size(); ++g) {
-      BatchRunResult& gr = group_results[g];
-      drained_scalar += gr.drained_scalar;
-      for (auto& run : gr.runs) results[node_id++] = std::move(run);
-    }
-  }
-  if (node_lanes_ <= 1) {
-    nodes_scalar_ += static_cast<std::uint64_t>(n);
-  } else {
-    nodes_scalar_ += static_cast<std::uint64_t>(drained_scalar);
-    nodes_batched_ += static_cast<std::uint64_t>(n - drained_scalar);
+  // Groups are fully independent between exchanges (distributed-memory
+  // model): one pool task per lane group, each stepping up to node_lanes_
+  // nodes through the shared instruction stream.  Each result lands in its
+  // own slot, so scheduling order cannot affect the outcome.
+  std::vector<BatchRunResult> group_results(groups_.size());
+  pool_->parallelFor(0, groups_.size(), 1,
+                     [&group_results, this](std::size_t begin,
+                                            std::size_t end) {
+                       for (std::size_t g = begin; g < end; ++g) {
+                         group_results[g] = groups_[g]->run();
+                       }
+                     });
+  // Lane results scatter into node-id order for the folding loop below.
+  std::size_t node_id = 0;
+  for (std::size_t g = 0; g < group_results.size(); ++g) {
+    BatchRunResult& gr = group_results[g];
+    const int width = groups_[g]->lanes();
+    // With one node per group every node runs on its own: count it scalar.
+    const int scalar = node_lanes_ == 1 ? 1 : gr.drained_scalar;
+    nodes_scalar_ += static_cast<std::uint64_t>(scalar);
+    nodes_batched_ += static_cast<std::uint64_t>(width - scalar);
+    for (auto& run : gr.runs) results[node_id++] = std::move(run);
   }
 
   std::uint64_t max_cycles = 0;

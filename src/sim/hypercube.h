@@ -13,30 +13,30 @@
 //
 // Execution engine: because the machine is SPMD (loadAll gives every node
 // the same compiled image), the nodes of one compute phase are the same
-// workload shape the SoA ensemble engine (sim/batch.h) vectorizes.  With
-// node_lanes > 1 the system packs nodes into NodeBatch groups of that
+// workload shape the lockstep lane engine (sim/batch.h) vectorizes.  The
+// system packs its nodes into ReplicaBatch lane groups of node_lanes
 // width — per-node planes/caches/condition registers interleaved
 // address-major, one shared instruction stream stepped once per cycle for
-// W nodes — and runPhase steps groups instead of nodes.  Exchange phases
-// stage per-lane: sendVector gathers the source halo out of the SoA
-// columns into the router scratch buffer and scatters it into the
-// destination lane, so routing code and cost model are unchanged.  Nodes
-// that diverge or fault mid-phase retire into exact scalar NodeSim
-// continuations; results (SystemStats, planes, caches, faults) are
-// bit-identical to scalar execution for every lane width.  node_lanes == 1
-// selects the original per-node scalar path.
+// W nodes — and runPhase steps one group per pool task; node_lanes == 1
+// means width-1 groups.  Exchange phases stage per lane: sendVector
+// gathers the source halo out of the SoA columns into the router scratch
+// buffer and scatters it into the destination lane, so routing code and
+// cost model are unchanged.  A node whose branch diverges from its group
+// retires into an exact NodeSim continuation; results (SystemStats,
+// planes, caches, faults) are bit-identical for every lane width.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "arch/machine.h"
 #include "exec/thread_pool.h"
 #include "microcode/generator.h"
+#include "sim/batch.h"
 #include "sim/node.h"
-#include "sim/node_batch.h"
 #include "sim/stats.h"
 
 namespace nsc::sim {
@@ -66,10 +66,10 @@ struct RouterOptions {
 struct SystemOptions {
   RouterOptions router{};
   NodeSim::Options node{};
-  // SPMD lane width: how many hypercube nodes one SoA batch steps together
+  // SPMD lane width: how many hypercube nodes one lane group steps together
   // during a compute phase.  0 resolves through NSC_NODE_LANES (default
-  // kDefaultNodeLanes); 1 forces the scalar per-node engine; any value is
-  // clamped to the node count, so 1-node systems always run scalar.
+  // kDefaultNodeLanes); 1 runs one node per group; any value is clamped to
+  // the node count, so a 1-node system is one width-1 group.
   int node_lanes = 0;
 };
 
@@ -109,21 +109,14 @@ class HypercubeSystem {
 
   int dimension() const { return dimension_; }
   int numNodes() const { return 1 << dimension_; }
-  // Effective SPMD lane width (1 == scalar per-node engine).
+  // Effective SPMD lane width (nodes per lane group).
   int nodeLanes() const { return node_lanes_; }
 
-  // Direct node access is a scalar-mode facility (node_lanes() == 1):
-  // batched nodes live as SoA lanes with no per-node NodeSim to hand out.
-  // Throws std::out_of_range in batched mode; phase drivers should use the
-  // engine-neutral facade below instead.
-  NodeSim& node(int id) { return *nodes_.at(idx(id)); }
-  const NodeSim& node(int id) const { return *nodes_.at(idx(id)); }
-
-  // ---- Engine-neutral per-node memory facade ----
-  // Scalar-engine semantics per node on either path (batched lanes gather /
-  // scatter through the SoA columns; retired lanes route to their scalar
-  // continuation nodes).  Used by exchange staging, problem seeding, and
-  // result readback.
+  // ---- Per-node memory facade ----
+  // NodeSim semantics per node (lanes gather / scatter through the SoA
+  // columns; retired lanes route to their continuation nodes).  Used by
+  // exchange staging, problem seeding, and result readback.  Node ids are
+  // checked (std::out_of_range).
   void writePlane(int node, arch::PlaneId plane, std::uint64_t base,
                   std::span<const double> values);
   void writeCache(int node, arch::CacheId cache, int buffer,
@@ -135,7 +128,7 @@ class HypercubeSystem {
   std::vector<double> readCache(int node, arch::CacheId cache, int buffer,
                                 std::uint64_t base, std::uint64_t count) const;
   // The ReplicaStore seeding view of one node, so per-node init code (cfd
-  // problem loaders, ensemble-style callbacks) works on either engine.
+  // problem loaders, ensemble-style callbacks) seeds a system like a node.
   class NodeStore final : public ReplicaStore {
    public:
     NodeStore(HypercubeSystem& system, int node)
@@ -171,26 +164,27 @@ class HypercubeSystem {
 
   // Loads the same executable on every node (SPMD): resolves one immutable
   // compiled image through `cache` (first form: the cache this system was
-  // constructed with) and every node (or node-lane group) shares it.
+  // constructed with) and every lane group shares it.
   void loadAll(const mc::Executable& exe);
   void loadAll(const mc::Executable& exe, CompiledProgramCache& cache);
   void loadAll(std::shared_ptr<const CompiledProgram> program);
 
   // Re-arms every node's sequencer for the next compute phase without
   // touching node memory (NodeSim::restart system-wide); multi-phase
-  // drivers call this between runPhase calls on either engine.
+  // drivers call this between runPhase calls.
   void restartAll();
 
-  // Runs every node's program to halt (batched lane groups or scalar nodes,
-  // in parallel on the shared pool); adds max(node cycles) to the compute
-  // makespan and folds stats into `stats`.  Stats are folded on the calling
-  // thread in node order, so the result is bit-identical for any pool
-  // thread count — and for any lane width.
+  // Runs every node's program to halt (lane groups in parallel on the
+  // shared pool); adds max(node cycles) to the compute makespan and folds
+  // stats into `stats`.  Stats are folded on the calling thread in node
+  // order, so the result is bit-identical for any pool thread count — and
+  // for any lane width.
   void runPhase(SystemStats& stats);
 
-  // Cumulative engine counters: nodes stepped inside SoA lane groups vs on
-  // the scalar engine (scalar mode, or batched-mode lanes that diverged /
-  // retired and drained scalar), summed over runPhase calls.
+  // Cumulative engine counters, summed over runPhase calls: nodes stepped
+  // in lockstep inside lane groups vs nodes counted scalar (every node when
+  // node_lanes is 1, else lanes that diverged and finished on their own
+  // NodeSim).
   std::uint64_t nodesBatched() const { return nodes_batched_; }
   std::uint64_t nodesScalar() const { return nodes_scalar_; }
 
@@ -205,13 +199,17 @@ class HypercubeSystem {
   static constexpr std::size_t idx(int i) {
     return static_cast<std::size_t>(i);
   }
-  // Batched mode: node id -> owning lane group / lane within it.  Groups
-  // are contiguous id ranges of node_lanes_ nodes (the tail group may be
-  // narrower if the width doesn't divide the node count).
-  NodeBatch& group(int node) { return *groups_.at(idx(node / node_lanes_)); }
-  const NodeBatch& group(int node) const {
-    return *groups_.at(idx(node / node_lanes_));
+  // Node id -> owning lane group / lane within it.  Groups are contiguous
+  // id ranges of node_lanes_ nodes (the tail group may be narrower if the
+  // width doesn't divide the node count).
+  std::size_t groupOf(int node) const {
+    if (node < 0 || node >= numNodes()) {
+      throw std::out_of_range("hypercube node id out of range");
+    }
+    return idx(node / node_lanes_);
   }
+  ReplicaBatch& group(int node) { return *groups_[groupOf(node)]; }
+  const ReplicaBatch& group(int node) const { return *groups_[groupOf(node)]; }
   int laneOf(int node) const { return node % node_lanes_; }
 
   const arch::Machine& machine_;
@@ -220,10 +218,7 @@ class HypercubeSystem {
   int node_lanes_;
   exec::ThreadPool* pool_;
   CompiledProgramCache* cache_;
-  // Exactly one of these is populated: scalar mode owns per-node NodeSims,
-  // batched mode owns SoA lane groups.
-  std::vector<std::unique_ptr<NodeSim>> nodes_;
-  std::vector<std::unique_ptr<NodeBatch>> groups_;
+  std::vector<std::unique_ptr<ReplicaBatch>> groups_;
   std::uint64_t nodes_batched_ = 0;
   std::uint64_t nodes_scalar_ = 0;
   // Per-destination-node accumulated exchange cost in the open phase.

@@ -11,17 +11,7 @@ using arch::Endpoint;
 using common::strFormat;
 
 NodeSim::NodeSim(const arch::Machine& machine, Options options)
-    : machine_(machine), options_(options) {
-  const arch::MachineConfig& cfg = machine_.config();
-  planes_.resize(static_cast<std::size_t>(cfg.num_memory_planes));
-  caches_.resize(static_cast<std::size_t>(cfg.num_caches));
-  for (auto& cache : caches_) {
-    cache.assign(static_cast<std::size_t>(cfg.cache_buffers),
-                 std::vector<double>(cfg.cacheWords(), 0.0));
-  }
-  cond_regs_.assign(4, false);
-  fu_launches_.assign(static_cast<std::size_t>(cfg.numFus()), 0);
-}
+    : machine_(machine), options_(options), state_(machine, 1) {}
 
 void NodeSim::load(const mc::Executable& exe) {
   load(CompiledProgram::compile(machine_, exe));
@@ -36,15 +26,23 @@ void NodeSim::load(std::shared_ptr<const CompiledProgram> program) {
 void NodeSim::restart() {
   pc_ = 0;
   halted_ = false;
-  std::fill(cond_regs_.begin(), cond_regs_.end(), false);
+  std::fill(state_.cond.begin(), state_.cond.end(), 0);
   std::fill(loop_counters_.begin(), loop_counters_.end(), std::nullopt);
 }
 
 NodeSim::Snapshot NodeSim::snapshot() const {
   Snapshot snap;
-  snap.planes = planes_;
-  snap.caches = caches_;
-  snap.cond_regs = cond_regs_;
+  snap.planes = state_.planes;
+  snap.caches = state_.caches;
+  // Cache buffers allocate lazily; the snapshot shows every buffer at its
+  // architectural size, untouched ones as zeros.
+  const std::size_t cache_words = machine_.config().cacheWords();
+  for (auto& cache : snap.caches) {
+    for (auto& buffer : cache) {
+      if (buffer.empty()) buffer.assign(cache_words, 0.0);
+    }
+  }
+  snap.cond_regs.assign(state_.cond.begin(), state_.cond.end());
   snap.pc = pc_;
   snap.halted = halted_;
   return snap;
@@ -55,9 +53,8 @@ void NodeSim::restoreSnapshot(Snapshot snapshot) {
   // caller's to reject — the serialization layer validates counts against
   // the machine before handing the snapshot over.  Here we adopt the images
   // wholesale so restored memory is bit-identical to the source node's.
-  planes_ = std::move(snapshot.planes);
-  caches_ = std::move(snapshot.caches);
-  cond_regs_ = std::move(snapshot.cond_regs);
+  state_.adopt(std::move(snapshot.planes), std::move(snapshot.caches),
+               snapshot.cond_regs);
   pc_ = snapshot.pc;
   halted_ = snapshot.halted;
   program_.reset();
@@ -68,29 +65,9 @@ void NodeSim::restoreSnapshot(Snapshot snapshot) {
 // Memory access
 // ---------------------------------------------------------------------------
 
-void NodeSim::ensurePlaneSize(arch::PlaneId plane, std::uint64_t needed) {
-  auto& mem = planes_[static_cast<std::size_t>(plane)];
-  const std::uint64_t cap = machine_.config().sim_plane_words;
-  if (mem.size() >= needed || needed > cap) return;
-  // Geometric growth (capped at the simulated capacity): a program whose
-  // instructions extend the touched range step by step reallocates
-  // O(log n) times instead of once per instruction.
-  const std::uint64_t target =
-      std::min<std::uint64_t>(cap, std::max<std::uint64_t>(needed, mem.size() * 2));
-  mem.resize(target, 0.0);
-}
-
 void NodeSim::writePlane(arch::PlaneId plane, std::uint64_t base,
                          std::span<const double> values) {
-  auto& mem = planes_.at(static_cast<std::size_t>(plane));
-  ensurePlaneSize(plane, base + values.size());
-  // Words beyond the simulated capacity are dropped, mirroring the DMA
-  // engines' in-range stores (the backing store never exceeds the cap).
-  const std::uint64_t start = std::min<std::uint64_t>(base, mem.size());
-  const std::uint64_t fit =
-      std::min<std::uint64_t>(values.size(), mem.size() - start);
-  std::copy_n(values.begin(), static_cast<std::ptrdiff_t>(fit),
-              mem.begin() + static_cast<std::ptrdiff_t>(start));
+  state_.writePlane(0, plane, base, values);
 }
 
 std::vector<double> NodeSim::readPlane(arch::PlaneId plane, std::uint64_t base,
@@ -100,43 +77,24 @@ std::vector<double> NodeSim::readPlane(arch::PlaneId plane, std::uint64_t base,
   return out;
 }
 
-namespace {
-// Copies mem[base .. base+out.size()) into `out`, zero-filling words beyond
-// the simulated backing store (which may be smaller than the architectural
-// capacity, or not cover `base` at all).
-void readInto(const std::vector<double>& mem, std::uint64_t base,
-              std::span<double> out) {
-  const std::uint64_t start = std::min<std::uint64_t>(base, mem.size());
-  const std::uint64_t avail =
-      std::min<std::uint64_t>(out.size(), mem.size() - start);
-  std::copy_n(mem.begin() + static_cast<std::ptrdiff_t>(start),
-              static_cast<std::ptrdiff_t>(avail), out.begin());
-  std::fill(out.begin() + static_cast<std::ptrdiff_t>(avail), out.end(), 0.0);
-}
-}  // namespace
-
 void NodeSim::readPlaneInto(arch::PlaneId plane, std::uint64_t base,
                             std::span<double> out) const {
-  readInto(planes_.at(static_cast<std::size_t>(plane)), base, out);
+  state_.readPlaneInto(0, plane, base, out);
 }
 
 double NodeSim::readPlaneWord(arch::PlaneId plane, std::uint64_t addr) const {
-  const auto& mem = planes_.at(static_cast<std::size_t>(plane));
+  const auto& mem = state_.planes.at(static_cast<std::size_t>(plane));
   return addr < mem.size() ? mem[addr] : 0.0;
 }
 
 void NodeSim::fillPlane(arch::PlaneId plane, double value) {
-  auto& mem = planes_.at(static_cast<std::size_t>(plane));
+  auto& mem = state_.planes.at(static_cast<std::size_t>(plane));
   std::fill(mem.begin(), mem.end(), value);
 }
 
 void NodeSim::writeCache(arch::CacheId cache, int buffer, std::uint64_t base,
                          std::span<const double> values) {
-  auto& mem = caches_.at(static_cast<std::size_t>(cache))
-                  .at(static_cast<std::size_t>(buffer));
-  for (std::size_t i = 0; i < values.size() && base + i < mem.size(); ++i) {
-    mem[base + i] = values[i];
-  }
+  state_.writeCache(0, cache, buffer, base, values);
 }
 
 std::vector<double> NodeSim::readCache(arch::CacheId cache, int buffer,
@@ -149,14 +107,12 @@ std::vector<double> NodeSim::readCache(arch::CacheId cache, int buffer,
 
 void NodeSim::readCacheInto(arch::CacheId cache, int buffer,
                             std::uint64_t base, std::span<double> out) const {
-  readInto(caches_.at(static_cast<std::size_t>(cache))
-               .at(static_cast<std::size_t>(buffer)),
-           base, out);
+  state_.readCacheInto(0, cache, buffer, base, out);
 }
 
 // ---------------------------------------------------------------------------
-// Execute (legacy interpreter — the semantic reference the compiled engine
-// in compiled_exec.cpp is golden-tested against)
+// Execute (legacy interpreter — the semantic oracle the compiled stepper in
+// lane_state.cpp is golden-tested against)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -278,7 +234,7 @@ InstrStats NodeSim::execute(const InstrPlan& plan, int instr_index,
           static_cast<unsigned long long>(cfg.sim_plane_words));
       return stats;
     }
-    ensurePlaneSize(p, static_cast<std::uint64_t>(hi) + 1);
+    state_.ensurePlaneSize(p, static_cast<std::uint64_t>(hi) + 1);
     if (dma.mode == 1) {
       reads.push_back({cursor,
                        static_cast<std::size_t>(
@@ -303,6 +259,8 @@ InstrStats NodeSim::execute(const InstrPlan& plan, int instr_index,
     }
     if (dma.mode & 2) {
       const int fill_buffer = (dma.read_buffer + 1) % cfg.cache_buffers;
+      state_.cacheStore(static_cast<std::size_t>(c),
+                        static_cast<std::size_t>(fill_buffer));
       writes.push_back({cursor,
                         static_cast<std::size_t>(machine_.destinationIndex(
                             Endpoint::cacheWrite(c))),
@@ -377,11 +335,11 @@ InstrStats NodeSim::execute(const InstrPlan& plan, int instr_index,
         const std::uint64_t addr = rd.cursor.nextAddr();
         double value = 0.0;
         if (rd.is_cache) {
-          const auto& mem = caches_[static_cast<std::size_t>(rd.unit)]
-                                   [static_cast<std::size_t>(rd.buffer)];
+          const auto& mem = state_.caches[static_cast<std::size_t>(rd.unit)]
+                                         [static_cast<std::size_t>(rd.buffer)];
           if (addr < mem.size()) value = mem[addr];
         } else {
-          const auto& mem = planes_[static_cast<std::size_t>(rd.unit)];
+          const auto& mem = state_.planes[static_cast<std::size_t>(rd.unit)];
           if (addr < mem.size()) value = mem[addr];
         }
         tok = Token{value, true, rd.cursor.done(),
@@ -449,7 +407,7 @@ InstrStats NodeSim::execute(const InstrPlan& plan, int instr_index,
         if (stream.valid) {
           state.acc = arch::evalOp(fu.op, a.value, b.value);
           if (fu.counts_flop) ++stats.flops;
-          ++fu_launches_[static_cast<std::size_t>(f)];
+          ++state_.fu_launches[static_cast<std::size_t>(f)];
         }
         result = Token{state.acc, stream.valid && stream.last,
                        stream.valid && stream.last, stream.index};
@@ -473,7 +431,7 @@ InstrStats NodeSim::execute(const InstrPlan& plan, int instr_index,
           result.last = (a_wired && a.last) || (b_wired && b.last);
           result.index = a.index >= 0 ? a.index : b.index;
           if (fu.counts_flop) ++stats.flops;
-          ++fu_launches_[static_cast<std::size_t>(f)];
+          ++state_.fu_launches[static_cast<std::size_t>(f)];
         }
       }
 
@@ -489,11 +447,11 @@ InstrStats NodeSim::execute(const InstrPlan& plan, int instr_index,
         if (tok.valid) {
           const std::uint64_t addr = wr.cursor.nextAddr();
           if (wr.is_cache) {
-            auto& mem = caches_[static_cast<std::size_t>(wr.unit)]
-                               [static_cast<std::size_t>(wr.buffer)];
+            auto& mem = state_.caches[static_cast<std::size_t>(wr.unit)]
+                                     [static_cast<std::size_t>(wr.buffer)];
             if (addr < mem.size()) mem[addr] = tok.value;
           } else {
-            auto& mem = planes_[static_cast<std::size_t>(wr.unit)];
+            auto& mem = state_.planes[static_cast<std::size_t>(wr.unit)];
             if (addr < mem.size()) mem[addr] = tok.value;
           }
         }
@@ -505,7 +463,8 @@ InstrStats NodeSim::execute(const InstrPlan& plan, int instr_index,
     if (plan.cond_enable && cond_src_index >= 0) {
       const Token tok = src_out[static_cast<std::size_t>(cond_src_index)];
       if (tok.valid && tok.last) {
-        cond_regs_[static_cast<std::size_t>(plan.cond_reg)] = tok.value > 0.5;
+        state_.cond[static_cast<std::size_t>(plan.cond_reg)] =
+            tok.value > 0.5 ? 1 : 0;
         cond_fired = true;
       }
     }
@@ -558,8 +517,8 @@ InstrStats NodeSim::execute(const InstrPlan& plan, int instr_index,
   for (int c = 0; c < cfg.num_caches; ++c) {
     const DmaPlan& dma = plan.cache[static_cast<std::size_t>(c)];
     if (dma.mode != 0 && dma.swap && cfg.cache_buffers == 2) {
-      std::swap(caches_[static_cast<std::size_t>(c)][0],
-                caches_[static_cast<std::size_t>(c)][1]);
+      std::swap(state_.caches[static_cast<std::size_t>(c)][0],
+                state_.caches[static_cast<std::size_t>(c)][1]);
     }
   }
 
@@ -576,14 +535,10 @@ void NodeSim::applySequencer(const InstrPlan& plan) {
       pc_ = plan.seq_target;
       break;
     case arch::SeqOp::kBranchIf:
-      pc_ = cond_regs_.at(static_cast<std::size_t>(plan.seq_cond_reg))
-                ? plan.seq_target
-                : pc_ + 1;
+      pc_ = cond(plan.seq_cond_reg) ? plan.seq_target : pc_ + 1;
       break;
     case arch::SeqOp::kBranchNot:
-      pc_ = cond_regs_.at(static_cast<std::size_t>(plan.seq_cond_reg))
-                ? pc_ + 1
-                : plan.seq_target;
+      pc_ = cond(plan.seq_cond_reg) ? pc_ + 1 : plan.seq_target;
       break;
     case arch::SeqOp::kLoop: {
       auto& counter = loop_counters_.at(static_cast<std::size_t>(pc_));
@@ -620,7 +575,9 @@ InstrStats NodeSim::stepInstruction() {
       slot < program_->names.size() ? program_->names[slot] : kUnnamed;
   InstrStats stats =
       options_.use_compiled
-          ? executeCompiled(program_->instrs[slot], index, name)
+          ? state_.executeCompiledBatch(program_->instrs[slot], index, name,
+                                        options_.max_cycles_per_instruction,
+                                        trace_ ? &trace_ : nullptr)
           : execute(program_->plans[slot], index, name);
   if (!stats.error) {
     applySequencer(program_->plans[slot]);
@@ -632,8 +589,7 @@ InstrStats NodeSim::stepInstruction() {
 
 RunStats NodeSim::run() {
   RunStats stats;
-  stats.fu_launches.assign(fu_launches_.size(), 0);
-  std::fill(fu_launches_.begin(), fu_launches_.end(), 0);
+  std::fill(state_.fu_launches.begin(), state_.fu_launches.end(), 0);
   while (!halted_) {
     if (stats.instructions_executed >= options_.max_instructions) {
       stats.error = true;
@@ -655,7 +611,7 @@ RunStats NodeSim::run() {
     stats.trace.push_back(std::move(instr));
   }
   stats.halted = halted_;
-  stats.fu_launches = fu_launches_;
+  stats.fu_launches = state_.fu_launches;
   return stats;
 }
 

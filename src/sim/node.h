@@ -16,12 +16,14 @@
 //     sequencer (next/jump/branch/loop/halt).
 //
 // Programs load as an immutable sim::CompiledProgram (decode + lowering run
-// once; SPMD systems share one image across all nodes).  Two engines
-// execute it: the compiled engine (default) steps pre-resolved instruction
-// images in blocked fill/steady/drain form; the legacy interpreter
-// (NodeOptions::use_compiled = false) re-walks the decoded plans per cycle
-// and is kept as the semantic reference — both produce bit-identical
-// InstrStats and memory contents (test_compiled.cpp golden tests).
+// once; SPMD systems share one image across all nodes).  The node's memory
+// is a one-lane sim::LaneState, and instructions execute on the one
+// compiled stepper (LaneState::executeCompiledBatch at W = 1) — the same
+// code that steps ensemble and hypercube lane groups.  The legacy
+// interpreter (NodeOptions::use_compiled = false) re-walks the decoded
+// plans per cycle over the same state and is kept as the test-only
+// semantic oracle: both produce bit-identical InstrStats, trace frames, and
+// memory contents (test_compiled.cpp golden tests).
 //
 // Determinism: the simulator is single-threaded and fully deterministic;
 // all state is reset per instruction except memory planes, caches,
@@ -29,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -39,35 +40,37 @@
 #include "arch/machine.h"
 #include "microcode/generator.h"
 #include "sim/compiled.h"
+#include "sim/lane_state.h"
 #include "sim/stats.h"
-#include "sim/token.h"
 
 namespace nsc::sim {
-
-// One cycle of observable dataflow, for the visual debugger (paper,
-// Section 6: "each new instruction would display the corresponding pipeline
-// diagram, annotated to show data values flowing through the pipeline").
-struct TraceFrame {
-  int instruction = 0;
-  std::uint64_t cycle = 0;
-  // Token per switch source endpoint, indexed like Machine::sources().
-  std::vector<Token> source_tokens;
-};
-using TraceSink = std::function<void(const TraceFrame&)>;
 
 struct NodeOptions {
   std::uint64_t max_cycles_per_instruction = 64ull * 1024 * 1024;
   std::uint64_t max_instructions = 1ull << 20;
-  // false selects the legacy per-cycle interpreter (semantic reference for
-  // the compiled engine; same results, slower).
+  // false selects the legacy per-cycle interpreter, the test-only semantic
+  // oracle for the compiled stepper (same results, slower).  It holds for
+  // every lane: a ReplicaBatch (and so a HypercubeSystem lane group) built
+  // with it retires each lane into an interpreter NodeSim when run()
+  // starts.
   bool use_compiled = true;
-  // Nonzero pins the compiled engine's steady-state block length, ignoring
-  // the per-instruction verifier-proven window (bench/testing knob; 64
-  // reproduces the legacy fixed block exactly).
-  std::uint64_t steady_block_override = 0;
 };
 
-class NodeSim {
+// Host-side seeding interface over one replica's memory, implemented by a
+// NodeSim and by one lane of a ReplicaBatch (or of a HypercubeSystem), so a
+// single per-replica init callback seeds any of them identically.
+class ReplicaStore {
+ public:
+  virtual void writePlane(arch::PlaneId plane, std::uint64_t base,
+                          std::span<const double> values) = 0;
+  virtual void writeCache(arch::CacheId cache, int buffer, std::uint64_t base,
+                          std::span<const double> values) = 0;
+
+ protected:
+  ~ReplicaStore() = default;
+};
+
+class NodeSim final : public ReplicaStore {
  public:
   using Options = NodeOptions;
 
@@ -90,7 +93,7 @@ class NodeSim {
 
   // ---- Memory access (host/loader side) ----
   void writePlane(arch::PlaneId plane, std::uint64_t base,
-                  std::span<const double> values);
+                  std::span<const double> values) override;
   std::vector<double> readPlane(arch::PlaneId plane, std::uint64_t base,
                                 std::uint64_t count) const;
   // Copy-free variant: fills `out` (out.size() words starting at `base`),
@@ -101,13 +104,15 @@ class NodeSim {
   void fillPlane(arch::PlaneId plane, double value);
 
   void writeCache(arch::CacheId cache, int buffer, std::uint64_t base,
-                  std::span<const double> values);
+                  std::span<const double> values) override;
   std::vector<double> readCache(arch::CacheId cache, int buffer,
                                 std::uint64_t base, std::uint64_t count) const;
   void readCacheInto(arch::CacheId cache, int buffer, std::uint64_t base,
                      std::span<double> out) const;
 
-  bool cond(int reg) const { return cond_regs_.at(static_cast<std::size_t>(reg)); }
+  bool cond(int reg) const {
+    return state_.cond.at(static_cast<std::size_t>(reg)) != 0;
+  }
   int pc() const { return pc_; }
   bool halted() const { return halted_; }
 
@@ -149,17 +154,10 @@ class NodeSim {
   // private NodeSims mid-run — an exact de-interleaved state hand-off.
   friend class ReplicaBatch;
 
-  // Legacy per-cycle interpreter (semantic reference).
+  // Legacy per-cycle interpreter (the test-only semantic oracle).
   InstrStats execute(const InstrPlan& plan, int instr_index,
                      const std::string& name);
-  // Compiled engine: blocked fill/steady/drain over a lowered instruction
-  // (defined in compiled_exec.cpp).
-  InstrStats executeCompiled(const CompiledInstr& ci, int instr_index,
-                             const std::string& name);
   void applySequencer(const InstrPlan& plan);
-  // Grows a plane's simulated backing store to cover `needed` words
-  // (geometric growth, capped at MachineConfig::sim_plane_words).
-  void ensurePlaneSize(arch::PlaneId plane, std::uint64_t needed);
 
   const arch::Machine& machine_;
   Options options_;
@@ -167,40 +165,12 @@ class NodeSim {
   // Loaded program (shared, immutable; may be aliased by other nodes).
   std::shared_ptr<const CompiledProgram> program_;
 
-  // Persistent machine state.
-  std::vector<std::vector<double>> planes_;
-  std::vector<std::vector<std::vector<double>>> caches_;  // [cache][buffer]
-  std::vector<bool> cond_regs_;
+  // Persistent machine state: planes, caches, condition registers, and
+  // run accounting, as one lane; plus the sequencer.
+  LaneState state_;
   std::vector<std::optional<int>> loop_counters_;  // per instruction slot
   int pc_ = 0;
   bool halted_ = false;
-
-  // Run accounting.
-  std::vector<std::uint64_t> fu_launches_;
-
-  // Reusable per-instruction execution state for the compiled engine; the
-  // capacity survives across instructions so steady-state stepping never
-  // allocates.
-  struct Scratch {
-    std::vector<Token> src_out;  // per switch source, this cycle
-    std::vector<Token> dst_in;   // per switch destination (registered)
-    std::vector<Token> arena;    // all FU pipe/queue + SD history rings
-    struct FuRun {
-      std::uint32_t pipe_pos = 0;
-      std::uint32_t rfq_pos = 0;
-      double acc = 0.0;
-    };
-    std::vector<FuRun> fu;
-    struct DmaRun {
-      std::uint64_t element = 0;
-      std::uint64_t row = 0;
-      std::uint64_t in_row = 0;
-    };
-    std::vector<DmaRun> reads;
-    std::vector<DmaRun> writes;
-    std::vector<std::uint32_t> sd_pos;
-  };
-  Scratch scratch_;
 
   TraceSink trace_;
 };

@@ -68,7 +68,7 @@ struct RunStats {
   }
 
   // Folds a continuation of the same run (e.g. a diverged ensemble lane
-  // finishing on the scalar engine after leaving its ReplicaBatch) onto the
+  // finishing on its own NodeSim after leaving its ReplicaBatch) onto the
   // stats accumulated so far: totals and launch counts add, traces append,
   // terminal flags come from the continuation.
   void absorbContinuation(RunStats&& continuation) {

@@ -456,7 +456,7 @@ void ProgramVerifier::verifyInstr(const CompiledProgram& program,
       break;
     }
   }
-  if (!converged) return;  // cannot happen (strict combinators); stay at 64
+  if (!converged) return;  // cannot happen (strict combinators)
 
   // Starvation / underfeed proofs against the completion rules: a write
   // instruction completes only when every engine captured its programmed
@@ -499,36 +499,6 @@ void ProgramVerifier::verifyInstr(const CompiledProgram& program,
     }
   }
 
-  // Proven-safe steady-state window: the static distance to the earliest
-  // cycle the completion rules could possibly fire.  Only derived for
-  // clean, latch-free instructions; the engine's own per-block remaining-
-  // element bound is still applied on top, so this is a cap, not a
-  // schedule — and any cap at least as large as the legacy 64 leaves the
-  // executed cycle sequence (hence all stats) bit-identical.
-  if (!verdict.clean || ci.cond_enable) return;
-  std::uint64_t horizon = 0;
-  if (!ci.writes.empty()) {
-    for (const CompiledDma& wr : ci.writes) {
-      if (wr.total == 0) continue;
-      const CycleWindow w = state.dstAt(wr.endpoint);
-      if (!w.any) return;  // unreachable when clean; stay conservative
-      horizon = std::max(horizon, w.first + wr.total);
-    }
-  } else if (!ci.reads.empty()) {
-    const std::uint64_t drain_budget =
-        64 + static_cast<std::uint64_t>(cfg.rf_max_delay) +
-        static_cast<std::uint64_t>(cfg.sd_max_delay);
-    std::uint64_t total = 0;
-    for (const CompiledDma& rd : ci.reads) {
-      total = std::max(total, rd.total);
-    }
-    horizon = total + drain_budget + 1;
-  } else {
-    return;  // control-only: completes after one cycle; 64 already covers it
-  }
-  horizon = std::min<std::uint64_t>(horizon, kMaxSteadyBlock);
-  verdict.steady_window = static_cast<std::uint32_t>(
-      std::max<std::uint64_t>(horizon, kFallbackSteadyBlock));
 }
 
 VerifyReport ProgramVerifier::verify(const CompiledProgram& program) const {

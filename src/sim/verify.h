@@ -2,9 +2,8 @@
 //
 // The paper's workbench promises a pipeline is *checked before it runs*,
 // but until this pass the guarantee stopped at the diagram level: once
-// microcode was lowered, the only analysis was a bare DMA-range string and
-// a fixed 64-cycle steady-state block in the compiled engine.  The
-// ProgramVerifier closes that gap with an exact dataflow analysis run once
+// microcode was lowered, the only analysis was a bare DMA-range string.
+// The ProgramVerifier closes that gap with an exact dataflow analysis run once
 // per compile (CompiledProgram::compile embeds the report, so the shared
 // program cache pointer-shares one report across every shard, node, and
 // replica that runs the image):
@@ -20,13 +19,7 @@
 //   * write engines whose windows provably under-deliver, and condition
 //     latches armed on streams that never end, are reported as errors —
 //     each error *proves* the runtime fault kind (FaultKind) the
-//     interpreter would hit, which test_property.cpp enforces;
-//   * per instruction, a proven-safe steady-state window: the static
-//     distance to the next completion/latch/fault horizon.  Verified
-//     instructions let executeCompiled run blocks larger than the legacy
-//     fixed 64; anything unproven falls back to 64.  Block length never
-//     affects results (blocks are lower bounds on completion distance),
-//     so adaptive and fixed execution stay bit-identical.
+//     interpreter would hit, which test_property.cpp enforces.
 //
 // The service layer (WorkbenchService) gates admission on the report:
 // programs with error-severity diagnostics are refused with
@@ -43,13 +36,6 @@
 #include "sim/stats.h"
 
 namespace nsc::sim {
-
-// The legacy fixed steady-state block (and the fallback for anything the
-// verifier cannot prove), and the cap on proven windows — large enough to
-// cover any single pipeline sweep, small enough that a block's scratch
-// working set stays cacheable.
-inline constexpr std::uint32_t kFallbackSteadyBlock = 64;
-inline constexpr std::uint32_t kMaxSteadyBlock = 1u << 16;
 
 // What the verifier can say about one lowered instruction.
 enum class VerifyCode : std::uint8_t {
@@ -109,11 +95,6 @@ struct VerifyDiagnostic {
 // Per-instruction verdict, index-parallel with CompiledProgram::instrs.
 struct InstrVerify {
   bool clean = true;  // no error-severity diagnostics on this instruction
-  // Proven-safe steady-state block length for executeCompiled (the static
-  // distance to the completion/latch/fault horizon, clamped to
-  // [kFallbackSteadyBlock, kMaxSteadyBlock]); kFallbackSteadyBlock when
-  // nothing stronger is proven.
-  std::uint32_t steady_window = kFallbackSteadyBlock;
 };
 
 struct VerifyReport {
@@ -143,8 +124,7 @@ class ProgramVerifier {
 
   // Verifies every instruction of `program` (plans and lowered instrs are
   // index-parallel).  Does not mutate the program; CompiledProgram::compile
-  // runs this and stores both the report and the per-instruction
-  // steady_window it derives.
+  // runs this and stores the report on the program.
   VerifyReport verify(const CompiledProgram& program) const;
 
  private:

@@ -1,13 +1,15 @@
-// Golden cycle-exactness tests for the compiled execution engine.
+// Golden cycle-exactness tests for the compiled stepper.
 //
-// The compiled engine (sim/compiled_exec.cpp) must be indistinguishable
-// from the legacy per-cycle interpreter (NodeSim::execute): identical
-// per-instruction cycles/flops/hazards, identical fu_launches, identical
-// memory-plane and cache contents, identical trace frames, identical error
-// behavior.  These tests run the same executables through both engines —
-// NodeOptions::use_compiled selects the engine — and compare everything
-// observable, on the paper's Figure-11 Jacobi workload and on targeted
-// corner cases (condition latch, accumulator drain, timeout, DMA faults).
+// The compiled stepper (LaneState::executeCompiledBatch, sim/lane_state.cpp)
+// must be indistinguishable from the legacy per-cycle interpreter
+// (NodeSim::execute): identical per-instruction cycles/flops/hazards,
+// identical fu_launches, identical memory-plane and cache contents,
+// identical trace frames, identical error behavior.  These tests run the
+// same executables through both — NodeOptions::use_compiled selects the
+// executor — and compare everything observable, on the paper's Figure-11
+// Jacobi workload and on targeted corner cases (condition latch,
+// accumulator drain, timeout, DMA faults), at one lane (a NodeSim) and at
+// W lanes (a ReplicaBatch).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -24,6 +26,7 @@
 #include "sim/compiled.h"
 #include "sim/hypercube.h"
 #include "sim/node.h"
+#include "sim/program_cache.h"
 #include "sim/verify.h"
 #include "test_helpers.h"
 
@@ -326,61 +329,6 @@ TEST(CompiledGolden, TimeoutMatches) {
   expectIdenticalRuns(legacy_run, compiled_run);
 }
 
-// Adaptive steady-state blocks: a verified program runs with the
-// per-instruction proven window (larger than the legacy fixed 64 on the
-// Figure-11 sweep), and the choice of block length is unobservable — the
-// interpreter, the compiled engine pinned to 64-cycle blocks, and the
-// compiled engine with adaptive blocks agree on every stat, every memory
-// word, and every trace entry.
-TEST(CompiledGolden, AdaptiveSteadyBlocksBitIdenticalToFixed64) {
-  const Machine machine;
-  cfd::JacobiBuildOptions options;
-  options.grid = {8, 8, 8};
-  options.h = 1.0 / 7.0;
-  options.convergence_mode = false;
-  options.fixed_sweeps = 6;
-  const cfd::JacobiProgram jacobi(machine, options);
-  const cfd::PoissonProblem problem = cfd::PoissonProblem::manufactured(
-      options.grid.nx, options.grid.ny, options.grid.nz);
-  mc::Generator generator(machine);
-  const mc::GenerateResult gen = generator.generate(jacobi.program());
-  ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
-
-  // The workload must actually exercise the adaptive path: the compiled
-  // image verifies clean and at least one instruction proves a steady
-  // window beyond the legacy fixed block.
-  const auto program = sim::CompiledProgram::compile(machine, gen.exe);
-  ASSERT_NE(program, nullptr);
-  ASSERT_NE(program->verify, nullptr);
-  EXPECT_TRUE(program->verify->clean()) << program->verify->format();
-  std::uint32_t widest = 0;
-  for (const auto& ci : program->instrs) widest = std::max(widest, ci.steady_window);
-  EXPECT_GT(widest, sim::kFallbackSteadyBlock);
-
-  sim::NodeSim::Options fixed64;
-  fixed64.steady_block_override = 64;
-  NodeSim legacy(machine, legacyOptions());
-  NodeSim pinned(machine, fixed64);
-  NodeSim adaptive(machine);
-  for (NodeSim* node : {&legacy, &pinned, &adaptive}) {
-    node->load(gen.exe);
-    jacobi.load(*node, problem);
-  }
-  const sim::RunStats legacy_run = legacy.run();
-  const sim::RunStats pinned_run = pinned.run();
-  const sim::RunStats adaptive_run = adaptive.run();
-  ASSERT_FALSE(legacy_run.error) << legacy_run.error_message;
-
-  expectIdenticalRuns(legacy_run, pinned_run);
-  expectIdenticalRuns(legacy_run, adaptive_run);
-  const std::uint64_t words =
-      static_cast<std::uint64_t>(options.grid.N()) +
-      2 * static_cast<std::uint64_t>(jacobi.layout().pad);
-  expectIdenticalMemory(machine, legacy, adaptive, words);
-  expectIdenticalMemory(machine, pinned, adaptive, words);
-  EXPECT_EQ(jacobi.residual(pinned), jacobi.residual(adaptive));
-}
-
 // SPMD sharing: loadAll compiles once and every node aliases the same
 // immutable image; the executable fingerprint survives the handoff.
 TEST(CompiledProgram, SharedAcrossHypercubeNodes) {
@@ -395,17 +343,24 @@ TEST(CompiledProgram, SharedAcrossHypercubeNodes) {
   const mc::GenerateResult gen = generator.generate(jacobi.program());
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
-  // Scalar mode: the pointer-sharing witness inspects per-node NodeSims,
-  // which only exist off the batched path.
-  sim::HypercubeSystem system(machine, 3, {.node_lanes = 1});
+  // A private cache witnesses the sharing: loading all 8 nodes costs one
+  // miss and nothing else — no node compiles its own image.
+  sim::CompiledProgramCache cache;
+  sim::HypercubeSystem system(machine, 3, {.node_lanes = 1}, nullptr, &cache);
   system.loadAll(gen.exe);
-  const auto& image = system.node(0).program();
+  const sim::CompiledProgramCache::Stats loaded = cache.stats();
+  EXPECT_EQ(loaded.misses, 1u);
+  EXPECT_EQ(loaded.hits, 0u);
+  EXPECT_EQ(loaded.entries, 1u);
+  bool hit = false;
+  const auto image = cache.get(machine, gen.exe, &hit);
+  EXPECT_TRUE(hit);
   ASSERT_NE(image, nullptr);
   EXPECT_EQ(image->fingerprint, gen.exe.fingerprint());
-  for (int n = 1; n < system.numNodes(); ++n) {
-    EXPECT_EQ(system.node(n).program().get(), image.get())
-        << "node " << n << " holds a private program copy";
-  }
+  sim::SystemStats stats;
+  system.runPhase(stats);
+  EXPECT_FALSE(stats.error) << stats.error_message;
+  EXPECT_EQ(cache.stats().misses, 1u);
 
   // ... and a re-generated identical program fingerprints identically,
   // while a different program does not.
@@ -419,15 +374,16 @@ TEST(CompiledProgram, SharedAcrossHypercubeNodes) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched SoA engine goldens (sim/batch.h): a ReplicaBatch must be
+// Batched SoA goldens (sim/batch.h): a ReplicaBatch must be
 // indistinguishable, lane by lane, from the same replicas run one at a time
-// on the scalar engine — every RunStats field, every trace entry, every
-// plane word, every cache buffer.
+// on the legacy interpreter — every RunStats field, every trace entry,
+// every plane word, every cache buffer.
 // ---------------------------------------------------------------------------
 
 // Runs `gen` through a ReplicaBatch of `lanes` lanes and through `lanes`
-// independent scalar NodeSims, seeding lane w on both paths through the
-// same ReplicaStore callback, then pins everything observable identical.
+// interpreter NodeSims (an oracle independent of the stepper), seeding lane
+// w on both paths through the same ReplicaStore callback, then pins
+// everything observable identical.
 void runBatchGolden(const Machine& machine, const mc::GenerateResult& gen,
                     int lanes, std::uint64_t plane_words,
                     const std::function<void(int, sim::ReplicaStore&)>& seed,
@@ -437,17 +393,18 @@ void runBatchGolden(const Machine& machine, const mc::GenerateResult& gen,
   ASSERT_NE(program, nullptr);
   sim::ReplicaBatch batch(machine, lanes, options);
   batch.load(program);
-  std::vector<std::unique_ptr<NodeSim>> scalars;
+  sim::NodeSim::Options oracle_options = options;
+  oracle_options.use_compiled = false;
+  std::vector<std::unique_ptr<NodeSim>> oracles;
   for (int w = 0; w < lanes; ++w) {
-    auto node = std::make_unique<NodeSim>(machine, options);
+    auto node = std::make_unique<NodeSim>(machine, oracle_options);
     node->load(program);
     if (seed) {
-      sim::NodeReplicaStore node_store(*node);
-      seed(w, node_store);
+      seed(w, *node);
       sim::ReplicaBatch::LaneStore lane_store(batch, w);
       seed(w, lane_store);
     }
-    scalars.push_back(std::move(node));
+    oracles.push_back(std::move(node));
   }
   sim::BatchRunResult result = batch.run();
   ASSERT_EQ(result.runs.size(), static_cast<std::size_t>(lanes));
@@ -455,17 +412,17 @@ void runBatchGolden(const Machine& machine, const mc::GenerateResult& gen,
   std::vector<double> cache_ref(cfg.cacheWords());
   for (int w = 0; w < lanes; ++w) {
     SCOPED_TRACE("lane " + std::to_string(w) + " of " + std::to_string(lanes));
-    const sim::RunStats scalar_run = scalars[static_cast<std::size_t>(w)]->run();
-    expectIdenticalRuns(scalar_run, result.runs[static_cast<std::size_t>(w)]);
+    const sim::RunStats oracle_run = oracles[static_cast<std::size_t>(w)]->run();
+    expectIdenticalRuns(oracle_run, result.runs[static_cast<std::size_t>(w)]);
     for (arch::PlaneId pl = 0; pl < cfg.num_memory_planes; ++pl) {
-      EXPECT_EQ(scalars[static_cast<std::size_t>(w)]->readPlane(pl, 0,
+      EXPECT_EQ(oracles[static_cast<std::size_t>(w)]->readPlane(pl, 0,
                                                                 plane_words),
                 batch.readPlane(w, pl, 0, plane_words))
           << "plane " << pl;
     }
     for (arch::CacheId c = 0; c < cfg.num_caches; ++c) {
       for (int buf = 0; buf < cfg.cache_buffers; ++buf) {
-        scalars[static_cast<std::size_t>(w)]->readCacheInto(c, buf, 0,
+        oracles[static_cast<std::size_t>(w)]->readCacheInto(c, buf, 0,
                                                             cache_ref);
         EXPECT_EQ(cache_ref, batch.readCache(w, c, buf, 0, cfg.cacheWords()))
             << "cache " << c << " buffer " << buf;
@@ -476,7 +433,7 @@ void runBatchGolden(const Machine& machine, const mc::GenerateResult& gen,
 }
 
 // The two-FU scale pipeline over per-lane distinct vectors, at every lane
-// width the ensemble engine uses in practice (1 = degenerate scalar batch,
+// width the ensemble engine uses in practice (1 = a NodeSim's width,
 // 13 = odd width such as an ensemble remainder, 8/16 = the SIMD sweet
 // spots).
 TEST(BatchedGolden, ScaleAddLaneWidths) {
@@ -619,7 +576,7 @@ prog::Program divergenceProgram(const Machine& machine, int n) {
 
 // Divergence with a faulting branch target: one lane's latched condition
 // sends it to an instruction whose write engine is starved, so that lane
-// times out mid-run on the scalar drain while the other lanes complete
+// times out mid-run on its own NodeSim while the other lanes complete
 // clean — exactly as the same replicas behave one at a time.
 TEST(BatchedGolden, DivergenceOneLaneFaultsRestCompleteClean) {
   const Machine machine;
@@ -654,7 +611,7 @@ TEST(BatchedGolden, DivergenceOneLaneFaultsRestCompleteClean) {
   options.max_cycles_per_instruction = 500;
   sim::BatchRunResult result;
   runBatchGolden(machine, gen, 8, n, seed, options, &result);
-  // Exactly the diverged lane drained on the scalar engine, faulted; the
+  // Exactly the diverged lane left the batch and faulted; the
   // lockstep majority completed clean inside the batch.
   EXPECT_EQ(result.drained_scalar, 1);
   for (int w = 0; w < 8; ++w) {
@@ -671,8 +628,8 @@ TEST(BatchedGolden, DivergenceOneLaneFaultsRestCompleteClean) {
 
 // Clean divergence split: a minority of lanes branch to an alternate clean
 // instruction.  The batch keeps the (larger) fall-through group, drains the
-// branch takers scalar, and both groups stay bit-identical — including the
-// early completion of the group whose path halts first.
+// branch takers on their own NodeSims, and both groups stay bit-identical —
+// including the early completion of the group whose path halts first.
 TEST(BatchedGolden, DivergenceCleanSplitBothPathsIdentical) {
   const Machine machine;
   const int n = 32;
@@ -698,7 +655,7 @@ TEST(BatchedGolden, DivergenceCleanSplitBothPathsIdentical) {
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
   // Lanes 1, 5, and 9 branch (13-lane batch, so the 10-lane fall-through
-  // group is kept and three lanes retire to the scalar engine).
+  // group is kept and three lanes retire to their own NodeSims).
   const auto seed = [n](int w, sim::ReplicaStore& store) {
     std::vector<double> x = test::iota(n, 0.001 * (w + 1), 0.0001);
     if (w % 4 == 1) x[0] = 0.75;
@@ -718,7 +675,7 @@ TEST(BatchedGolden, DivergenceCleanSplitBothPathsIdentical) {
 
 // Shape-level faults hit every lockstep lane identically: a DMA pattern
 // past the plane capacity faults all lanes of the batch exactly as it
-// faults each scalar replica.
+// faults each replica run alone.
 TEST(BatchedGolden, DmaCapacityFaultAllLanes) {
   const Machine machine;
   prog::Program p;

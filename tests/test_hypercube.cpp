@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <vector>
 
 #include "arch/microword_spec.h"
 #include "microcode/generator.h"
@@ -349,11 +351,11 @@ void expectSystemStatsEqual(const SystemStats& want, const SystemStats& got) {
   }
 }
 
-// The PR 9 tentpole contract: a batched system is observably the same
-// machine as a scalar one at every lane width and dimension — SystemStats,
-// per-node planes, and engine-visible memory bit-identical — including
-// mid-phase divergence (minority nodes retire into scalar continuations)
-// and per-lane exchange staging between phases.
+// A lane-grouped system is observably the same machine as the legacy
+// interpreter run node by node, at every lane width and dimension —
+// SystemStats, per-node planes, and engine-visible memory bit-identical —
+// including mid-phase divergence (minority nodes retire into NodeSim
+// continuations) and per-lane exchange staging between phases.
 TEST(HypercubeTest, BatchedPhasesMatchScalarAcrossLaneWidthsAndDimensions) {
   Machine m;
   const int n = 32;
@@ -371,9 +373,13 @@ TEST(HypercubeTest, BatchedPhasesMatchScalarAcrossLaneWidthsAndDimensions) {
     sys.writePlane(node, 0, 0, x);
   };
   constexpr int kPhases = 2;
-  const auto runSystem = [&](int dimension, int lanes, SystemStats& stats,
+  const auto runSystem = [&](int dimension, int lanes, bool use_compiled,
+                             SystemStats& stats,
                              std::vector<std::vector<double>>& planes) {
-    HypercubeSystem sys(m, dimension, {.node_lanes = lanes});
+    NodeSim::Options node_options;
+    node_options.use_compiled = use_compiled;
+    HypercubeSystem sys(m, dimension,
+                        {.node = node_options, .node_lanes = lanes});
     EXPECT_EQ(sys.nodeLanes(), std::min(lanes, sys.numNodes()));
     sys.loadAll(gen.exe);
     for (int node = 0; node < sys.numNodes(); ++node) seed(sys, node);
@@ -398,7 +404,7 @@ TEST(HypercubeTest, BatchedPhasesMatchScalarAcrossLaneWidthsAndDimensions) {
             sys.readPlane(node, plane, 0, static_cast<std::uint64_t>(n) + 8));
       }
     }
-    if (sys.nodeLanes() > 1) {
+    if (use_compiled && sys.nodeLanes() > 1) {
       EXPECT_EQ(sys.nodesBatched() + sys.nodesScalar(),
                 static_cast<std::uint64_t>(kPhases) *
                     static_cast<std::uint64_t>(sys.numNodes()));
@@ -413,13 +419,13 @@ TEST(HypercubeTest, BatchedPhasesMatchScalarAcrossLaneWidthsAndDimensions) {
     SCOPED_TRACE("d=" + std::to_string(dimension));
     SystemStats want;
     std::vector<std::vector<double>> want_planes;
-    runSystem(dimension, 1, want, want_planes);
+    runSystem(dimension, 1, /*use_compiled=*/false, want, want_planes);
     ASSERT_FALSE(want.error) << want.error_message;
-    for (const int lanes : {4, 8, 16}) {
+    for (const int lanes : {1, 4, 8, 16}) {
       SCOPED_TRACE("lanes=" + std::to_string(lanes));
       SystemStats got;
       std::vector<std::vector<double>> got_planes;
-      runSystem(dimension, lanes, got, got_planes);
+      runSystem(dimension, lanes, /*use_compiled=*/true, got, got_planes);
       expectSystemStatsEqual(want, got);
       ASSERT_EQ(want_planes.size(), got_planes.size());
       for (std::size_t i = 0; i < want_planes.size(); ++i) {
@@ -431,9 +437,9 @@ TEST(HypercubeTest, BatchedPhasesMatchScalarAcrossLaneWidthsAndDimensions) {
 
 TEST(HypercubeTest, BatchedDmaFaultMatchesScalarGolden) {
   // Shape-level fault retirement: a read DMA programmed past the simulated
-  // plane capacity faults every node identically.  The batched engine must
-  // report the same system error, the same per-node stats, and survive a
-  // restartAll + re-run exactly like scalar nodes do.
+  // plane capacity faults every node identically.  Lane groups of every
+  // width must report the same system error and per-node stats as the
+  // legacy interpreter, and survive a restartAll + re-run exactly like it.
   Machine m;
   const mc::GenerateResult gen = buildScaleProgram(m);
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
@@ -442,8 +448,10 @@ TEST(HypercubeTest, BatchedDmaFaultMatchesScalarGolden) {
   spec->set(exe.words[0], arch::MicrowordSpec::planeField(0, "base"),
             ~std::uint64_t{0});
 
-  const auto runFaulty = [&](int lanes) {
-    HypercubeSystem sys(m, 2, {.node_lanes = lanes});
+  const auto runFaulty = [&](int lanes, bool use_compiled) {
+    NodeSim::Options node_options;
+    node_options.use_compiled = use_compiled;
+    HypercubeSystem sys(m, 2, {.node = node_options, .node_lanes = lanes});
     sys.loadAll(exe);
     SystemStats stats;
     for (int phase = 0; phase < 2 && !stats.error; ++phase) {
@@ -452,13 +460,26 @@ TEST(HypercubeTest, BatchedDmaFaultMatchesScalarGolden) {
     }
     return stats;
   };
-  const SystemStats want = runFaulty(1);
+  const SystemStats want = runFaulty(1, /*use_compiled=*/false);
   EXPECT_TRUE(want.error);
-  for (const int lanes : {4, 8, 16}) {
+  for (const int lanes : {1, 4, 8, 16}) {
     SCOPED_TRACE("lanes=" + std::to_string(lanes));
-    const SystemStats got = runFaulty(lanes);
+    const SystemStats got = runFaulty(lanes, /*use_compiled=*/true);
     expectSystemStatsEqual(want, got);
   }
+}
+
+TEST(HypercubeTest, NodeIdsOutsideTheCubeThrow) {
+  // A 3-wide grouping of 4 nodes leaves a width-1 tail group; an id past
+  // the cube must be refused, not mapped onto a lane that group lacks.
+  Machine m;
+  HypercubeSystem sys(m, 2, {.node_lanes = 3});
+  const std::vector<double> values(4, 1.0);
+  EXPECT_THROW(sys.writePlane(5, 0, 0, values), std::out_of_range);
+  EXPECT_THROW(sys.writePlane(-1, 0, 0, values), std::out_of_range);
+  EXPECT_THROW(sys.readPlane(4, 0, 0, 4), std::out_of_range);
+  sys.writePlane(3, 0, 0, values);
+  EXPECT_EQ(sys.readPlane(3, 0, 0, 4), values);
 }
 
 TEST(HypercubeTest, SixtyFourNodePeakMatchesPaperClaim) {

@@ -27,6 +27,7 @@
 #include "net/wire.h"
 #include "nsc/scripts.h"
 #include "service/service.h"
+#include "sim/program_cache.h"
 #include "sim/verify.h"
 
 namespace nsc {
@@ -405,6 +406,9 @@ class ServerTest : public ::testing::Test {
     svc::ServiceOptions options;
     options.shards = 2;
     options.queue_capacity = 32;
+    // A private compiled-program cache, so replies (program_cache_hit in
+    // particular) do not depend on which tests ran before in this process.
+    options.cache = &cache_;
     service_ = std::make_unique<svc::WorkbenchService>(options);
     net::ServerOptions server_options;
     server_options.max_payload = 1 << 20;
@@ -425,6 +429,7 @@ class ServerTest : public ::testing::Test {
     EXPECT_EQ(reply.request_id, 77u);
   }
 
+  sim::CompiledProgramCache cache_;
   std::unique_ptr<svc::WorkbenchService> service_;
   std::unique_ptr<net::Server> server_;
 };
@@ -748,9 +753,12 @@ TEST_F(ServerTest, LoopbackSessionIsBitIdenticalToInProcessService) {
     return replies;
   };
 
-  // Reference: in-process service, same shard count as the server's.
+  // Reference: in-process service, same shard count as the server's, and
+  // its own private cache like the served one, so both compile-miss first.
+  sim::CompiledProgramCache reference_cache;
   svc::ServiceOptions reference_options;
   reference_options.shards = 2;
+  reference_options.cache = &reference_cache;
   svc::WorkbenchService reference(reference_options);
   const std::vector<svc::ServiceReply> expected =
       driveSession([&](svc::Request request) {

@@ -387,13 +387,15 @@ TEST_P(VerifierSoundnessTest, CleanRunsFaultFreeErrorsPredictTheRuntimeFault) {
     EXPECT_EQ(compiled.error_message, lane.error_message) << report.format();
   }
 
-  // And the SPMD axis: the same mutation replayed through a W=4 NodeBatch
-  // phase (a d=2 hypercube whose four nodes ride one SoA group) must agree
-  // with a scalar system on the error verdict, message, and per-node stats
-  // — across a restartAll phase boundary.
-  const auto runSystem = [&](int lanes) {
+  // And the SPMD axis: the same mutation replayed through a W=4 lane group
+  // (a d=2 hypercube whose four nodes ride one SoA group) and through
+  // width-1 groups must agree with an interpreter system on the error
+  // verdict and per-node stats — across a restartAll phase boundary.
+  const auto runSystem = [&](int lanes, bool use_compiled) {
+    sim::NodeSim::Options node_options = batch_options;
+    node_options.use_compiled = use_compiled;
     sim::HypercubeSystem system(machine, 2,
-                                {.node = batch_options, .node_lanes = lanes});
+                                {.node = node_options, .node_lanes = lanes});
     system.loadAll(program);
     for (int node = 0; node < system.numNodes(); ++node) {
       system.writePlane(node, 0, 0, test::iota(static_cast<std::size_t>(n), 1.0, 0.5));
@@ -406,20 +408,23 @@ TEST_P(VerifierSoundnessTest, CleanRunsFaultFreeErrorsPredictTheRuntimeFault) {
     }
     return stats;
   };
-  const sim::SystemStats sys_scalar = runSystem(1);
-  const sim::SystemStats sys_batched = runSystem(4);
-  EXPECT_EQ(sys_scalar.error, sys_batched.error) << report.format();
-  EXPECT_EQ(sys_scalar.error_message, sys_batched.error_message);
-  EXPECT_EQ(sys_scalar.error, legacy.error) << report.format();
-  ASSERT_EQ(sys_scalar.node_stats.size(), sys_batched.node_stats.size());
-  for (std::size_t i = 0; i < sys_scalar.node_stats.size(); ++i) {
-    EXPECT_EQ(sys_scalar.node_stats[i].total_cycles,
-              sys_batched.node_stats[i].total_cycles) << "node " << i;
-    EXPECT_EQ(sys_scalar.node_stats[i].total_flops,
-              sys_batched.node_stats[i].total_flops) << "node " << i;
-    EXPECT_EQ(sys_scalar.node_stats[i].instructions_executed,
-              sys_batched.node_stats[i].instructions_executed)
-        << "node " << i;
+  const sim::SystemStats sys_legacy = runSystem(1, false);
+  EXPECT_EQ(sys_legacy.error, legacy.error) << report.format();
+  for (const int lanes : {1, 4}) {
+    SCOPED_TRACE("node_lanes=" + std::to_string(lanes));
+    const sim::SystemStats sys = runSystem(lanes, true);
+    EXPECT_EQ(sys_legacy.error, sys.error) << report.format();
+    EXPECT_EQ(sys_legacy.error_message, sys.error_message);
+    ASSERT_EQ(sys_legacy.node_stats.size(), sys.node_stats.size());
+    for (std::size_t i = 0; i < sys.node_stats.size(); ++i) {
+      EXPECT_EQ(sys_legacy.node_stats[i].total_cycles,
+                sys.node_stats[i].total_cycles) << "node " << i;
+      EXPECT_EQ(sys_legacy.node_stats[i].total_flops,
+                sys.node_stats[i].total_flops) << "node " << i;
+      EXPECT_EQ(sys_legacy.node_stats[i].instructions_executed,
+                sys.node_stats[i].instructions_executed)
+          << "node " << i;
+    }
   }
 
   std::set<sim::FaultKind> predicted;

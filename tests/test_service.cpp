@@ -483,9 +483,9 @@ TEST(ServiceTest, EnsembleMatchesWorkbenchEnsemble) {
   }
 }
 
-// The RunEnsemble lane knob reaches the batched engine and the execution
+// The RunEnsemble lane knob reaches the batched stepper and the execution
 // split is surfaced in RequestStats; batched replies stay bit-identical to
-// the scalar path.
+// lanes = 1 (one replica per batch, counted scalar).
 TEST(ServiceTest, EnsembleLanesSurfaceInStatsAndMatchScalar) {
   const std::string script = tripleScript(3.0);
   WorkbenchService service(ServiceOptions{});
@@ -503,7 +503,7 @@ TEST(ServiceTest, EnsembleLanesSurfaceInStatsAndMatchScalar) {
   ServiceReply batched = service.submit(batched_request).get();
   ASSERT_TRUE(batched.ok()) << batched.status.message();
   EXPECT_EQ(batched.stats.ensemble_lanes, 4);
-  // 13 = 3 batches of 4 + a width-1 remainder on the scalar engine.
+  // 13 = 3 batches of 4 + a width-1 remainder, counted scalar.
   EXPECT_EQ(batched.stats.replicas_batched, 12);
   EXPECT_EQ(batched.stats.replicas_scalar, 1);
   ASSERT_EQ(batched.ensemble.size(), scalar.ensemble.size());

@@ -2,6 +2,7 @@
 // the real toolchain (diagram -> checker -> microcode -> NodeSim).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "arch/machine.h"
@@ -247,6 +248,60 @@ TEST_F(SimTest, CacheDoubleBufferFillSwapAndDrain) {
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(out[static_cast<std::size_t>(i)], 2.0 * x[static_cast<std::size_t>(i)]);
   }
+}
+
+// A restored snapshot reproduces the source node's memory bit for bit:
+// plane sizes, a cache buffer holding a signed zero, untouched buffers, and
+// condition registers, so a run on the restored node matches the original.
+TEST_F(SimTest, SnapshotRestoreIsBitIdentical) {
+  const auto bits = [](const std::vector<double>& words) {
+    std::vector<std::uint64_t> out;
+    for (const double w : words) {
+      out.push_back(std::bit_cast<std::uint64_t>(w));
+    }
+    return out;
+  };
+  prog::Program p;
+  prog::PipelineDiagram& d = p.append("copy");
+  d.connect(machine_, Endpoint::planeRead(0), Endpoint::planeWrite(1));
+  d.dmaAt(Endpoint::planeRead(0)) = {"", 0, 1, 16, 1, 0, 0, false};
+  d.dmaAt(Endpoint::planeWrite(1)) = {"", 0, 1, 16, 1, 0, 0, false};
+  d.seq.op = arch::SeqOp::kHalt;
+
+  NodeSim original(machine_);
+  original.writePlane(0, 0, iota(16, 3.0, 0.5));
+  original.writeCache(0, 0, 5, std::vector<double>{-0.0});
+  original.writeCache(0, 1, 3, std::vector<double>{-0.0, 1.5});
+  NodeSim::Snapshot snap = original.snapshot();
+  snap.cond_regs[2] = true;
+  const NodeSim::Snapshot want = snap;
+
+  NodeSim restored(machine_);
+  restored.restoreSnapshot(std::move(snap));
+  const NodeSim::Snapshot got = restored.snapshot();
+  ASSERT_EQ(got.planes.size(), want.planes.size());
+  for (std::size_t i = 0; i < want.planes.size(); ++i) {
+    EXPECT_EQ(bits(got.planes[i]), bits(want.planes[i])) << "plane " << i;
+  }
+  ASSERT_EQ(got.caches.size(), want.caches.size());
+  for (std::size_t c = 0; c < want.caches.size(); ++c) {
+    for (std::size_t b = 0; b < want.caches[c].size(); ++b) {
+      EXPECT_EQ(bits(got.caches[c][b]), bits(want.caches[c][b]))
+          << "cache " << c << " buffer " << b;
+    }
+  }
+  EXPECT_EQ(got.cond_regs, want.cond_regs);
+  EXPECT_TRUE(restored.cond(2));
+
+  std::string err;
+  ASSERT_TRUE(generateAndLoad(machine_, p, original, &err)) << err;
+  ASSERT_TRUE(generateAndLoad(machine_, p, restored, &err)) << err;
+  const sim::RunStats a = original.run();
+  const sim::RunStats b = restored.run();
+  ASSERT_FALSE(b.error) << b.error_message;
+  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  EXPECT_EQ(bits(original.readPlane(1, 0, 16)),
+            bits(restored.readPlane(1, 0, 16)));
 }
 
 TEST_F(SimTest, SequencerLoopRepeatsInstruction) {

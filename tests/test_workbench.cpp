@@ -81,8 +81,8 @@ seq halt
 }
 
 // Batched SoA ensembles through the workbench: every replica's stats are
-// bit-identical to the scalar per-replica path at every lane width,
-// including an odd replica count (13) that leaves a width-1 remainder and
+// bit-identical to an interpreter node at every lane width, including
+// lanes = 1, an odd replica count (13) that leaves a width-1 remainder, and
 // per-replica seeds that force some replicas down a divergent branch.
 TEST(WorkbenchTest, EnsembleBatchedMatchesScalarAcrossLaneWidths) {
   Workbench bench;
@@ -143,17 +143,21 @@ TEST(WorkbenchTest, EnsembleBatchedMatchesScalarAcrossLaneWidths) {
     store.writePlane(0, 0, x);
   };
 
-  EnsembleOptions scalar_options;
-  scalar_options.lanes = 1;
-  scalar_options.init = seed;
-  const EnsembleOutcome want =
-      bench.runEnsemble(program, replicas, scalar_options);
-  ASSERT_TRUE(want.ok()) << want.generation.diagnostics.format();
-  EXPECT_EQ(want.lanes_used, 1);
-  EXPECT_EQ(want.replicas_scalar, replicas);
-  EXPECT_EQ(want.replicas_batched, 0);
+  // The reference: one interpreter node per replica, seeded the same way.
+  const CompileOutcome compiled = bench.core().compileProgram(program);
+  ASSERT_TRUE(compiled.ok()) << compiled.generation.diagnostics.format();
+  std::vector<sim::RunStats> want;
+  for (int replica = 0; replica < replicas; ++replica) {
+    sim::NodeSim::Options legacy;
+    legacy.use_compiled = false;
+    sim::NodeSim node(machine, legacy);
+    node.load(compiled.program);
+    seed(replica, node);
+    want.push_back(node.run());
+    ASSERT_FALSE(want.back().error) << want.back().error_message;
+  }
 
-  for (const int lanes : {4, 8, 16}) {
+  for (const int lanes : {1, 4, 8, 16}) {
     SCOPED_TRACE("lanes=" + std::to_string(lanes));
     EnsembleOptions options;
     options.lanes = lanes;
@@ -162,10 +166,14 @@ TEST(WorkbenchTest, EnsembleBatchedMatchesScalarAcrossLaneWidths) {
     ASSERT_TRUE(got.ok()) << got.generation.diagnostics.format();
     EXPECT_EQ(got.lanes_used, lanes);
     EXPECT_EQ(got.replicas_batched + got.replicas_scalar, replicas);
-    EXPECT_GT(got.replicas_batched, 0);
-    ASSERT_EQ(got.runs.size(), want.runs.size());
-    for (std::size_t i = 0; i < want.runs.size(); ++i) {
-      const sim::RunStats& a = want.runs[i];
+    if (lanes == 1) {
+      EXPECT_EQ(got.replicas_scalar, replicas);
+    } else {
+      EXPECT_GT(got.replicas_batched, 0);
+    }
+    ASSERT_EQ(got.runs.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const sim::RunStats& a = want[i];
       const sim::RunStats& b = got.runs[i];
       EXPECT_EQ(a.total_cycles, b.total_cycles) << "replica " << i;
       EXPECT_EQ(a.total_flops, b.total_flops) << "replica " << i;
