@@ -115,8 +115,8 @@ void printClaims() {
 // the paper's 64-node flagship; d=7 (128 nodes) and d=8 (256 nodes)
 // exercise the beyond-paper shapes that tests/test_hypercube.cpp pins for
 // stats consistency.  These run lane groups of the default width;
-// BM_SystemPhaseScalar runs width-1 groups (the W = 1 path of the one
-// stepper) on the compute-heavy shapes for an in-snapshot A/B.
+// BM_SystemPhaseScalar runs width-1 groups (value programs at W = 1) on
+// the compute-heavy shapes for an in-snapshot A/B.
 void BM_SystemPhase(benchmark::State& state) {
   const int dim = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -131,7 +131,7 @@ BENCHMARK(BM_RestrictedModelSweep);
 
 // Executor A/B: the same workload on the legacy per-cycle interpreter
 // (NodeOptions::use_compiled = false).  The ratio against BM_FullModelSweep
-// is the compiled stepper's speedup, captured in every BENCH_*.json.
+// is the speedup of compiled execution, captured in every BENCH_*.json.
 void BM_InterpreterModelSweep(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(runModel(false, false).cycles_per_sweep);

@@ -1,9 +1,11 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "common/strings.h"
 
@@ -66,10 +68,34 @@ void appendNumber(std::string& out, double v) {
     }
     return;
   }
-  if (std::floor(v) == v && std::abs(v) < 1e15) {
-    out += strFormat("%lld", static_cast<long long>(v));
+  // Integers print as "%lld" would, everything else as "%.17g" would;
+  // std::to_chars writes exactly that text without a format string or an
+  // allocation per number.
+  char buf[32];
+  const std::to_chars_result r =
+      std::floor(v) == v && std::abs(v) < 1e15
+          ? std::to_chars(buf, buf + sizeof buf, static_cast<long long>(v))
+          : std::to_chars(buf, buf + sizeof buf, v,
+                          std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
+// Appends code point `cp` (at most U+10FFFF) as UTF-8.
+void appendUtf8(std::string& out, std::uint32_t cp) {
+  if (cp < 0x80) {
+    out.push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp < 0x10000) {
+    out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
   } else {
-    out += strFormat("%.17g", v);
+    out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
   }
 }
 
@@ -168,8 +194,31 @@ class Parser {
       digits();
     }
     if (!any) return Result<Json>::error(errAt("bad number"));
-    const std::string token(text_.substr(start, pos_ - start));
-    return Json(std::strtod(token.c_str(), nullptr));
+    // std::from_chars reads the token in place; it takes no leading '+'.
+    // A token strtod would convert no part of (".e5") reads as 0, and one
+    // out of range defers to strtod, which rounds to 0 or Infinity.
+    const char* first = text_.data() + start + (text_[start] == '+' ? 1 : 0);
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, value);
+    if (r.ec == std::errc::result_out_of_range) {
+      const std::string token(first, last);
+      value = std::strtod(token.c_str(), nullptr);
+    } else if (r.ec != std::errc()) {
+      value = 0.0;
+    }
+    return Json(value);
+  }
+
+  // Four hex digits at pos_, as a code unit; nullopt if any is not hex.
+  std::optional<std::uint32_t> hex4() {
+    if (pos_ + 4 > text_.size()) return std::nullopt;
+    std::uint32_t code = 0;
+    const char* first = text_.data() + pos_;
+    const std::from_chars_result r = std::from_chars(first, first + 4, code, 16);
+    if (r.ec != std::errc() || r.ptr != first + 4) return std::nullopt;
+    pos_ += 4;
+    return code;
   }
 
   Result<std::string> parseString() {
@@ -191,17 +240,21 @@ class Parser {
           case 'b': out.push_back('\b'); break;
           case 'f': out.push_back('\f'); break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) return Result<std::string>::error(errAt("bad \\u"));
-            const std::string hex(text_.substr(pos_, 4));
-            pos_ += 4;
-            const long code = std::strtol(hex.c_str(), nullptr, 16);
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else {
-              // Latin-1 subset is enough for our files; encode as UTF-8.
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            std::optional<std::uint32_t> code = hex4();
+            if (!code) return Result<std::string>::error(errAt("bad \\u"));
+            // A high surrogate must pair with a following low one; the
+            // pair encodes one code point beyond U+FFFF.
+            if (*code >= 0xD800 && *code <= 0xDBFF) {
+              std::optional<std::uint32_t> low;
+              if (consume('\\') && consume('u')) low = hex4();
+              if (!low || *low < 0xDC00 || *low > 0xDFFF) {
+                return Result<std::string>::error(errAt("lone surrogate"));
+              }
+              code = 0x10000 + ((*code - 0xD800) << 10) + (*low - 0xDC00);
+            } else if (*code >= 0xDC00 && *code <= 0xDFFF) {
+              return Result<std::string>::error(errAt("lone surrogate"));
             }
+            appendUtf8(out, *code);
             break;
           }
           default: return Result<std::string>::error(errAt("bad escape"));

@@ -243,48 +243,19 @@ BatchRunResult ReplicaBatch::run() {
       break;
     }
 
-    // --- Sequencer: per-lane only where a condition register is consulted
-    // (mirrors NodeSim::applySequencer). ---
+    // --- Sequencer (sequencerStep, the rule NodeSim steps by): per lane
+    // only where a branch consults a condition register. ---
     const InstrPlan& plan = program_->plans[slot];
-    // Lane outcome key: next pc, or -1 for halt.
-    int uniform_key = -1;
-    bool per_lane = false;
-    switch (plan.seq_op) {
-      case arch::SeqOp::kNext:
-        uniform_key = index + 1;
-        break;
-      case arch::SeqOp::kJump:
-        uniform_key = plan.seq_target;
-        break;
-      case arch::SeqOp::kBranchIf:
-      case arch::SeqOp::kBranchNot:
-        per_lane = true;
-        break;
-      case arch::SeqOp::kLoop: {
-        // Lockstep lanes share one counter; one decrement covers all.
-        auto& counter = loop_counters_[slot];
-        if (!counter.has_value()) counter = plan.seq_count;
-        if (--*counter > 0) {
-          uniform_key = plan.seq_target;
-        } else {
-          counter.reset();
-          uniform_key = index + 1;
-        }
-        break;
-      }
-      case arch::SeqOp::kHalt:
-        uniform_key = -1;
-        break;
-    }
-    const auto boundsKey = [&](int pc) {
-      return pc < 0 || pc >= static_cast<int>(program_size) ? -1 : pc;
-    };
-    if (!per_lane) {
-      if (uniform_key != -1) uniform_key = boundsKey(uniform_key);
-      if (uniform_key == -1) {
+    std::optional<int>& counter = loop_counters_[slot];
+    if (plan.seq_op != arch::SeqOp::kBranchIf &&
+        plan.seq_op != arch::SeqOp::kBranchNot) {
+      // Lockstep lanes share one loop counter; one step covers all.
+      const SequencerStep step =
+          sequencerStep(plan, index, false, counter, program_size);
+      if (step.halt) {
         halted_ = true;
       } else {
-        pc_ = uniform_key;
+        pc_ = step.pc;
       }
       continue;
     }
@@ -298,10 +269,10 @@ BatchRunResult ReplicaBatch::run() {
     int n_keys = 0;
     std::vector<int> lane_key(static_cast<std::size_t>(W), -1);
     forActive([&](int w) {
-      const bool taken = plan.seq_op == arch::SeqOp::kBranchIf
-                             ? regs[w] != 0
-                             : regs[w] == 0;
-      const int key = boundsKey(taken ? plan.seq_target : index + 1);
+      // Lane outcome key: next pc, or -1 for halt.
+      const SequencerStep step =
+          sequencerStep(plan, index, regs[w] != 0, counter, program_size);
+      const int key = step.halt ? -1 : step.pc;
       lane_key[static_cast<std::size_t>(w)] = key;
       for (int i = 0; i < n_keys; ++i) {
         if (keys[i] == key) {

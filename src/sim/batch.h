@@ -4,17 +4,18 @@
 //
 // Every lane runs the same compiled instruction stream over its own data,
 // and in this machine the timing of every token is data-independent, so a
-// batch owns one W-lane sim::LaneState and steps it with the one compiled
-// stepper (LaneState::executeCompiledBatch): one shape copy of every token
-// stream per cycle, values W-wide.  A width-1 batch runs exactly what a
-// NodeSim runs.
+// batch owns one W-lane sim::LaneState and runs each instruction's value
+// program over it (LaneState::executeCompiledBatch): one list of windowed
+// loads, evaluations and stores, values W-wide.  A width-1 batch runs
+// exactly what a NodeSim runs.
 //
 // Lanes run in exact lockstep until the *sequencer* consults a condition
 // register (kBranchIf / kBranchNot) whose per-lane values disagree.  At
 // that instruction boundary the batch keeps the largest agreeing lane group
 // and retires every other lane into a private NodeSim — seeded with an
 // exact de-interleaved copy of the lane's memory, condition registers, and
-// loop counters — which finishes the run on the same stepper at W = 1.
+// loop counters — which finishes the run on the same value programs at
+// W = 1.  Both advance control by one rule (sequencerStep, sim/node.h).
 // Faults (compile-time DMA bounds, cycle timeouts) are shape-level and hit
 // every lockstep lane identically, exactly as the same replicas would fault
 // one by one.  The golden tests in test_compiled.cpp / test_hypercube.cpp

@@ -5,6 +5,7 @@
 
 #include "arch/microword_spec.h"
 #include "common/strings.h"
+#include "sim/value_program.h"
 #include "sim/verify.h"
 
 namespace nsc::sim {
@@ -449,10 +450,20 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
         lowerPlan(machine, program->plans.back(), static_cast<int>(i)));
   }
 
-  // Verify once here so the report rides the shared program pointer
-  // through the cache.
+  // One window analysis per instruction feeds both the verifier (its
+  // report rides the shared program pointer through the cache) and the
+  // value-program builder.
+  std::vector<InstrWindows> windows;
+  windows.reserve(program->instrs.size());
+  for (const CompiledInstr& ci : program->instrs) {
+    windows.push_back(analyzeWindows(machine, ci));
+  }
   program->verify = std::make_shared<VerifyReport>(
-      ProgramVerifier(machine).verify(*program));
+      ProgramVerifier(machine).verify(*program, windows));
+  for (std::size_t i = 0; i < program->instrs.size(); ++i) {
+    program->instrs[i].value =
+        buildValueProgram(machine, program->instrs[i], windows[i]);
+  }
   return program;
 }
 

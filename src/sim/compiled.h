@@ -14,13 +14,15 @@
 // nodes of a HypercubeSystem running the same SPMD executable share one
 // compiled image instead of 64 private decoded copies.
 //
-// Two executors consume this program: the compiled stepper
-// (LaneState::executeCompiledBatch, sim/lane_state.h — the only code that
-// steps a CompiledInstr, for a NodeSim and for every lane group alike)
-// walks the CompiledInstrs; the legacy cycle interpreter (NodeSim::execute,
-// the test-only oracle behind NodeOptions::use_compiled = false) walks the
-// InstrPlans.  The golden tests in test_compiled.cpp pin the two to
-// bit-identical InstrStats and memory contents.
+// compile() also runs the verifier's window analysis once per instruction
+// and turns it into the instruction's value program (sim/value_program.h):
+// its loads, evaluations and stores, each active on one cycle window.
+// LaneState::executeCompiledBatch (sim/lane_state.h) runs value programs
+// for a NodeSim and for every lane group alike; a traced run steps the
+// CompiledInstr cycle by cycle instead.  The legacy cycle interpreter
+// (NodeSim::execute, the test-only oracle behind NodeOptions::use_compiled
+// = false) walks the InstrPlans.  The golden tests in test_compiled.cpp pin
+// them to bit-identical InstrStats and memory contents.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +38,12 @@
 namespace nsc::sim {
 
 struct VerifyReport;  // sim/verify.h
+struct ValueProgram;  // sim/value_program.h
 
 // Drain budget for read-only pipelines: enough cycles for every FU latency
 // in the machine plus the register-file and shift/delay queue depths.  The
-// interpreter and the compiled stepper share this so the completion rule
-// cannot drift between them.
+// interpreter, the stepper and the value-program builder share this so the
+// completion rule cannot drift between them.
 inline std::uint64_t drainBudget(const arch::MachineConfig& cfg) {
   return 64 + static_cast<std::uint64_t>(cfg.rf_max_delay) +
          static_cast<std::uint64_t>(cfg.sd_max_delay);
@@ -184,6 +187,10 @@ struct CompiledInstr {
   std::int32_t cond_src = -1;  // src_out index watched by the latch
   std::int32_t cond_reg = 0;
   std::uint32_t ring_slots = 0;  // total token-arena size for this instr
+  // The instruction as windowed loads, evaluations and stores, built once
+  // at compile from the verifier's windows (sim/value_program.h).  Null
+  // only for an instruction that faults at issue.
+  std::shared_ptr<const ValueProgram> value;
 };
 
 // An immutable, shareable compiled program: decoded plans (sequencer +

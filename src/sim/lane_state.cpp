@@ -1,34 +1,32 @@
-// LaneState and the one compiled stepper: executeCompiledBatchT.
+// LaneState: host access, the value-program runner (runValuesT) and the
+// stepper (stepCompiledT) that traced runs take.
 //
-// One shape copy of every token stream is stepped per cycle, in the
-// interpreter's phase order (node.cpp), while token *values* live in
-// contiguous per-lane columns (`vals[slot * W + w]`) advanced by W-wide
-// inner loops.  Shape state (validity, last marks, indices, cursors, ring
-// positions, launch decisions) is data-independent, so it is identical for
-// every lockstep lane; the value loops are the only per-lane work and carry
-// no branches on lane data, so they auto-vectorize.
+// Both execute one cycle at a time in the interpreter's phase order
+// (node.cpp), with token *values* in contiguous per-lane columns advanced
+// by W-wide inner loops.  Shape (validity, last marks, indices, cursors,
+// launch decisions) is data-independent, so it is identical for every
+// lockstep lane: the value program has it precomputed as windows, the
+// stepper re-derives it per cycle.  The value loops are the only per-lane
+// work and carry no branches on lane data, so they auto-vectorize.
 #include "sim/lane_state.h"
 
 #include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <tuple>
 
 #include "common/strings.h"
+#include "sim/value_program.h"
 
 namespace nsc::sim {
 
 namespace {
 
-// The longest steady-state block run without completion polling.  The
-// per-block remaining-element bound is the completion proof; this cap only
-// keeps one block's bookkeeping small.
-constexpr std::uint64_t kSteadyBlock = 64;
-
 // W-wide evalOp: the opcode switch hoisted out of the lane loop.  Each case
 // must compute exactly what arch::evalOp computes per lane; rare opcodes
 // fall back to the scalar call (bit-identical, just not vectorized).  KW > 0
-// makes the trip count a compile-time constant (see executeCompiledBatchT).
+// makes the trip count a compile-time constant (see runValuesT).
 template <int KW>
 void evalLanes(arch::OpCode op, const double* a, const double* b, double* out,
                int rw) {
@@ -247,34 +245,6 @@ InstrStats LaneState::executeCompiledBatch(const CompiledInstr& ci,
                                            const std::string& name,
                                            std::uint64_t max_cycles,
                                            const TraceSink* trace) {
-  // The common widths get bodies with compile-time-constant lane loops;
-  // anything else takes the runtime-width fallback (KW = 0).
-  switch (lanes_) {
-    case 1:
-      return executeCompiledBatchT<1>(ci, instr_index, name, max_cycles, trace);
-    case 4:
-      return executeCompiledBatchT<4>(ci, instr_index, name, max_cycles, trace);
-    case 8:
-      return executeCompiledBatchT<8>(ci, instr_index, name, max_cycles, trace);
-    case 16:
-      return executeCompiledBatchT<16>(ci, instr_index, name, max_cycles,
-                                       trace);
-    default:
-      return executeCompiledBatchT<0>(ci, instr_index, name, max_cycles,
-                                      trace);
-  }
-}
-
-template <int KW>
-InstrStats LaneState::executeCompiledBatchT(const CompiledInstr& ci,
-                                            int instr_index,
-                                            const std::string& name,
-                                            std::uint64_t max_cycles,
-                                            const TraceSink* trace) {
-  using Shape = Scratch::Shape;
-  const arch::MachineConfig& cfg = machine_.config();
-  const int W = KW > 0 ? KW : lanes_;
-  const auto lane_stride = static_cast<std::size_t>(W);
   InstrStats stats;
   stats.instruction = instr_index;
   stats.name = name;
@@ -290,7 +260,7 @@ InstrStats LaneState::executeCompiledBatchT(const CompiledInstr& ci,
   for (const auto& [plane, needed] : ci.plane_grows) {
     ensurePlaneSize(plane, needed);
   }
-  // Cache write targets must exist before the cycle loop dereferences them
+  // Cache write targets must exist before the first cycle stores into them
   // (reads of untouched buffers fall through to zero).
   for (const CompiledDma& wr : ci.writes) {
     if (wr.is_cache) {
@@ -298,6 +268,159 @@ InstrStats LaneState::executeCompiledBatchT(const CompiledInstr& ci,
                  static_cast<std::size_t>(wr.buffer));
     }
   }
+
+  // The common widths get bodies with compile-time-constant lane loops;
+  // anything else takes the runtime-width fallback (KW = 0).
+  const ValueProgram* vp = trace == nullptr ? ci.value.get() : nullptr;
+  const auto body = [&]<int KW>() {
+    return vp != nullptr
+               ? runValuesT<KW>(ci, *vp, max_cycles, stats)
+               : stepCompiledT<KW>(ci, instr_index, max_cycles, trace, stats);
+  };
+  bool completed = false;
+  switch (lanes_) {
+    case 1: completed = body.template operator()<1>(); break;
+    case 4: completed = body.template operator()<4>(); break;
+    case 8: completed = body.template operator()<8>(); break;
+    case 16: completed = body.template operator()<16>(); break;
+    default: completed = body.template operator()<0>(); break;
+  }
+  if (!completed) {
+    stats.error = true;
+    stats.fault = FaultKind::kTimeout;
+    stats.error_message = common::strFormat(
+        "instruction %d did not complete within %llu cycles", instr_index,
+        static_cast<unsigned long long>(max_cycles));
+    stats.cycles = max_cycles;
+    return stats;
+  }
+
+  // Double-buffered caches swap at instruction end when requested.
+  for (const arch::CacheId c : ci.swaps) {
+    std::swap(caches[static_cast<std::size_t>(c)][0],
+              caches[static_cast<std::size_t>(c)][1]);
+  }
+  return stats;
+}
+
+template <int KW>
+bool LaneState::runValuesT(const CompiledInstr& ci, const ValueProgram& vp,
+                           std::uint64_t max_cycles, InstrStats& stats) {
+  // Completion is a build-time fact; a budget that ends first cuts the run
+  // at its last cycle with every memory effect up to there.
+  const bool completes = vp.last_cycle < max_cycles;
+  if (!completes && max_cycles == 0) return false;
+  const std::uint64_t last = completes ? vp.last_cycle : max_cycles - 1;
+
+  const int W = KW > 0 ? KW : lanes_;
+  const auto w = static_cast<std::size_t>(W);
+  Scratch& s = scratch_;
+  const std::size_t columns = static_cast<std::size_t>(vp.columns) * w;
+  if (s.vals.size() < columns) s.vals.resize(columns);
+  double* const vals = s.vals.data();
+  std::fill_n(vals, w, 0.0);
+  for (const auto& [col, value] : vp.presets) {
+    std::fill_n(vals + col * w, w, value);
+  }
+  // DMA cursors and memory views, read engines then write engines; the
+  // prologue already grew every plane and allocated every cache target.
+  const std::size_t n_reads = ci.reads.size();
+  s.cursors.resize(n_reads + ci.writes.size());
+  s.views.resize(n_reads + ci.writes.size());
+  for (std::size_t i = 0; i < s.cursors.size(); ++i) {
+    const CompiledDma& d = i < n_reads ? ci.reads[i] : ci.writes[i - n_reads];
+    std::vector<double>& mem =
+        d.is_cache ? caches[static_cast<std::size_t>(d.unit)]
+                           [static_cast<std::size_t>(d.buffer)]
+                   : planes[static_cast<std::size_t>(d.unit)];
+    s.cursors[i] = Scratch::Cursor{d.base, d.base, 0};
+    s.views[i] = Scratch::View{mem.data(), mem.size()};
+  }
+  const auto column = [&](const ValueRef& r, std::uint64_t c) {
+    return vals + (r.base + ((c - r.dist) & r.mask)) * w;
+  };
+
+  for (const ValueSegment& seg : vp.segments) {
+    if (seg.first > last) break;
+    const std::uint64_t stop = std::min(seg.last, last);
+    const std::uint16_t* const ids = vp.active.data() + seg.begin;
+    const std::uint32_t n = seg.end - seg.begin;
+    for (std::uint64_t c = seg.first; c <= stop; ++c) {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const ValueOp& op = vp.ops[ids[i]];
+        switch (op.kind) {
+          case ValueOpKind::kLoad: {
+            // One shared address per cycle: W contiguous lane values, with
+            // the stepper's in-range check on the shared SoA extent.
+            const std::uint64_t at =
+                s.cursors[op.engine].next(ci.reads[op.engine]) *
+                static_cast<std::uint64_t>(W);
+            const Scratch::View& v = s.views[op.engine];
+            double* out = vals + (op.out + (c & op.out_mask)) * w;
+            if (at < v.size) {
+              for (int l = 0; l < W; ++l) out[l] = v.data[at + l];
+            } else {
+              for (int l = 0; l < W; ++l) out[l] = 0.0;
+            }
+            break;
+          }
+          case ValueOpKind::kEval:
+            evalLanes<KW>(op.op, column(op.a, c), column(op.b, c),
+                          vals + (op.out + (c & op.out_mask)) * w, W);
+            break;
+          case ValueOpKind::kAccum: {
+            double* acc = vals + op.acc * w;
+            evalLanes<KW>(op.op, column(op.a, c), column(op.b, c), acc, W);
+            if (op.out != 0) {
+              double* out = vals + (op.out + (c & op.out_mask)) * w;
+              for (int l = 0; l < W; ++l) out[l] = acc[l];
+            }
+            break;
+          }
+          case ValueOpKind::kStore: {
+            const std::size_t e = n_reads + op.engine;
+            const std::uint64_t at =
+                s.cursors[e].next(ci.writes[op.engine]) *
+                static_cast<std::uint64_t>(W);
+            if (at < s.views[e].size) {
+              const double* from = column(op.a, c);
+              double* to = s.views[e].data + at;
+              for (int l = 0; l < W; ++l) to[l] = from[l];
+            }
+            break;
+          }
+          case ValueOpKind::kLatch: {
+            const double* v = column(op.a, c);
+            std::uint8_t* regs = cond.data() + op.engine * w;
+            for (int l = 0; l < W; ++l) regs[l] = v[l] > 0.5 ? 1 : 0;
+            break;
+          }
+        }
+      }
+    }
+  }
+
+  if (completes) {
+    stats.cycles = last + 1;
+    stats.flops = vp.flops;
+    stats.hazards = vp.hazards;
+    for (const ValueProgram::Unit& u : vp.units) {
+      fu_launches[static_cast<std::size_t>(u.fu)] += u.launches;
+    }
+  } else {
+    std::tie(stats.flops, stats.hazards) = vp.count(last, fu_launches);
+  }
+  return completes;
+}
+
+template <int KW>
+bool LaneState::stepCompiledT(const CompiledInstr& ci, int instr_index,
+                              std::uint64_t max_cycles,
+                              const TraceSink* trace, InstrStats& stats) {
+  using Shape = Scratch::Shape;
+  const arch::MachineConfig& cfg = machine_.config();
+  const int W = KW > 0 ? KW : lanes_;
+  const auto lane_stride = static_cast<std::size_t>(W);
 
   // --- Per-instruction state (reused storage, reset content) ---
   Scratch& s = scratch_;
@@ -583,57 +706,10 @@ InstrStats LaneState::executeCompiledBatchT(const CompiledInstr& ci,
   std::uint64_t cycle = 0;
   bool completed = false;
   while (!completed) {
-    if (cycle >= max_cycles) {
-      stats.error = true;
-      stats.fault = FaultKind::kTimeout;
-      stats.error_message = common::strFormat(
-          "instruction %d did not complete within %llu cycles", instr_index,
-          static_cast<unsigned long long>(max_cycles));
-      stats.cycles = cycle;
-      return stats;
-    }
+    if (cycle >= max_cycles) return false;
 
-    // --- Steady state: a lower bound on the cycles left before this
-    // instruction can possibly complete; all of them run back to back with
-    // no completion polling.  With the condition latch armed, completion
-    // can follow the latch within a cycle, so the bound stays at zero and
-    // every cycle runs in precise (per-cycle checked) mode instead.
-    std::uint64_t block = 0;
-    std::uint64_t reads_settle = 0;  // cycle the last read engine finishes
-    if (!ci.cond_enable) {
-      if (!ci.writes.empty()) {
-        // Every engine captures at most one element per cycle.
-        std::uint64_t rem = 0;
-        for (std::size_t i = 0; i < ci.writes.size(); ++i) {
-          rem = std::max(rem, ci.writes[i].total - s.writes[i].element);
-        }
-        block = rem > 0 ? rem - 1 : 0;
-      } else if (!ci.reads.empty()) {
-        // Read-only: reads finish 1/cycle unconditionally, then the drain
-        // counter must climb from `drain` to drain_budget + 1.
-        std::uint64_t rem = 0;
-        for (std::size_t i = 0; i < ci.reads.size(); ++i) {
-          rem = std::max(rem, ci.reads[i].total - s.reads[i].element);
-        }
-        reads_settle = std::max<std::uint64_t>(rem, 1);
-        block = reads_settle + drain_budget - drain - 1;
-      }
-    }
-    block = std::min({block, kSteadyBlock, max_cycles - cycle - 1});
-    if (block > 0) {
-      for (std::uint64_t b = 0; b < block; ++b) stepCycle(cycle + b);
-      if (ci.writes.empty() && !ci.reads.empty() && block >= reads_settle) {
-        // The interpreter bumps drain at the end of every cycle from the
-        // one where the reads settle; account for the block in one step.
-        drain += block - reads_settle + 1;
-      }
-      cycle += block;
-      continue;
-    }
-
-    // --- Boundary cycle: run one cycle, then the interpreter's exact
-    // completion logic ("an elaborate interrupt scheme is used to signal
-    // pipeline completions").
+    // One cycle, then the interpreter's exact completion logic ("an
+    // elaborate interrupt scheme is used to signal pipeline completions").
     stepCycle(cycle);
     ++cycle;
 
@@ -657,14 +733,8 @@ InstrStats LaneState::executeCompiledBatchT(const CompiledInstr& ci,
     }
   }
 
-  // Double-buffered caches swap at instruction end when requested.
-  for (const arch::CacheId c : ci.swaps) {
-    std::swap(caches[static_cast<std::size_t>(c)][0],
-              caches[static_cast<std::size_t>(c)][1]);
-  }
-
   stats.cycles = cycle;
-  return stats;
+  return true;
 }
 
 }  // namespace nsc::sim

@@ -1,27 +1,30 @@
-// LaneState: the machine state of W node lanes, and the one compiled
-// stepper that advances it.
+// LaneState: the machine state of W node lanes, and the code that executes
+// one lowered instruction over it.
 //
 // The NSC runs one statically routed microcode stream per node, the same
 // stream on every node of an SPMD system, and the timing of every token —
 // validity, last-element marks, DMA cursor positions, ring offsets, launch
 // decisions, completion interrupts — is data-independent: only token
 // *values*, accumulator contents, and latched condition booleans depend on
-// the data.  So one stepper can move W data lanes per shape step, and the
-// simulator has exactly one: executeCompiledBatchT<KW>.  A NodeSim runs it
-// over its own memory at W = 1; a ReplicaBatch (ensembles, hypercube lane
-// groups) runs it at W lanes.
+// the data.  So which value moves where, and on which cycle, is fixed when
+// an instruction is lowered, and one execution moves W data lanes at once.
+// executeCompiledBatch runs the instruction's value program
+// (sim/value_program.h): the loads, evaluations and stores the compile
+// derived from the verifier's windows, each active on one cycle window, run
+// cycle-major with W-wide lane loops.  A NodeSim runs it over its own
+// memory at W = 1; a ReplicaBatch (ensembles, hypercube lane groups) runs
+// it at W lanes.
+//
+// The stepper re-derives the pipeline's shape every cycle: one shape copy
+// of every token stream, with the token values in per-lane columns
+// (`vals[slot * W + w]`).  Only a traced run takes it, because the visual
+// debugger's frames need every source endpoint's token on every cycle.
+// Both follow the interpreter exactly (test_compiled.cpp pins them
+// bit-identical to it).
 //
 // Layout: state is structure-of-arrays, address-major — plane word `addr`
 // of lane `w` is planes[p][addr * W + w] — so at W = 1 it *is* the scalar
 // layout and the legacy interpreter (NodeSim::execute) indexes it directly.
-// One shape copy of every token stream is stepped per cycle; the token
-// values live in contiguous per-lane columns (`vals[slot * W + w]`)
-// advanced by W-wide inner loops with no branches on lane data, so they
-// auto-vectorize.  Each instruction runs fill -> steady state -> drain:
-// steady blocks of up to 64 cycles run back to back with no completion
-// polling, bounded by the remaining-element distance to completion, and
-// completion, drain accounting, and the condition latch follow the
-// interpreter exactly (test_compiled.cpp pins the two bit-identical).
 #pragma once
 
 #include <cstdint>
@@ -89,8 +92,10 @@ class LaneState {
              std::vector<std::vector<std::vector<double>>> cache_images,
              const std::vector<bool>& cond_regs);
 
-  // Executes one lowered instruction across every lane.  `trace`, when
-  // non-null, receives one frame per cycle; only a one-lane state traces.
+  // Executes one lowered instruction across every lane, on its value
+  // program (sim/value_program.h).  `trace`, when non-null, receives one
+  // frame per cycle; only a one-lane state traces, and a traced run — or an
+  // instruction without a value program — takes the stepper.
   InstrStats executeCompiledBatch(const CompiledInstr& ci, int instr_index,
                                   const std::string& name,
                                   std::uint64_t max_cycles,
@@ -108,13 +113,18 @@ class LaneState {
   std::vector<std::uint64_t> fu_launches;
 
  private:
-  // The stepper body.  KW > 0 fixes the lane count at compile time (fully
+  // The two bodies behind executeCompiledBatch, after its prologue (issue
+  // faults, plane growth, cache targets).  Each fills the cycle and flop
+  // counts of `stats` and returns whether the instruction completed within
+  // `max_cycles`.  KW > 0 fixes the lane count at compile time (fully
   // unrolled / vectorized lane loops); KW = 0 takes the runtime width.
   template <int KW>
-  InstrStats executeCompiledBatchT(const CompiledInstr& ci, int instr_index,
-                                   const std::string& name,
-                                   std::uint64_t max_cycles,
-                                   const TraceSink* trace);
+  bool runValuesT(const CompiledInstr& ci, const ValueProgram& vp,
+                  std::uint64_t max_cycles, InstrStats& stats);
+  template <int KW>
+  bool stepCompiledT(const CompiledInstr& ci, int instr_index,
+                     std::uint64_t max_cycles, const TraceSink* trace,
+                     InstrStats& stats);
 
   const arch::Machine& machine_;
   const int lanes_;
@@ -127,7 +137,7 @@ class LaneState {
   std::vector<std::vector<std::uint64_t>> lane_plane_words_;
 
   // Reusable per-instruction execution state; capacity survives across
-  // instructions so steady-state stepping never allocates.  The shape
+  // instructions, so a warm state never allocates.  The stepper's shape
   // arrays carry no values: those live in the `*_vals` columns.
   struct Scratch {
     struct Shape {
@@ -150,6 +160,34 @@ class LaneState {
     };
     std::vector<DmaRun> reads, writes;
     std::vector<std::uint32_t> sd_pos;
+
+    // The value program's columns (W doubles each), and its DMA engines:
+    // reads, then writes.
+    std::vector<double> vals;
+    struct Cursor {
+      std::uint64_t addr = 0;  // the next element's word
+      std::uint64_t row = 0;   // the current row's first word
+      std::uint64_t in_row = 0;
+      // Returns the next element's word; unsigned wrap-around gives the
+      // stepper's base + row * stride2 + in_row * stride bit for bit.
+      std::uint64_t next(const CompiledDma& d) {
+        const std::uint64_t at = addr;
+        if (++in_row == d.count) {
+          in_row = 0;
+          row += static_cast<std::uint64_t>(d.stride2);
+          addr = row;
+        } else {
+          addr += static_cast<std::uint64_t>(d.stride);
+        }
+        return at;
+      }
+    };
+    struct View {
+      double* data = nullptr;
+      std::uint64_t size = 0;
+    };
+    std::vector<Cursor> cursors;
+    std::vector<View> views;
   };
   Scratch scratch_;
 };

@@ -111,8 +111,8 @@ void NodeSim::readCacheInto(arch::CacheId cache, int buffer,
 }
 
 // ---------------------------------------------------------------------------
-// Execute (legacy interpreter — the semantic oracle the compiled stepper in
-// lane_state.cpp is golden-tested against)
+// Execute (legacy interpreter — the semantic oracle that compiled execution
+// in lane_state.cpp is golden-tested against)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -526,39 +526,44 @@ InstrStats NodeSim::execute(const InstrPlan& plan, int instr_index,
   return stats;
 }
 
-void NodeSim::applySequencer(const InstrPlan& plan) {
+SequencerStep sequencerStep(const InstrPlan& plan, int pc, bool cond,
+                            std::optional<int>& counter,
+                            std::size_t program_size) {
+  int next = pc + 1;
   switch (plan.seq_op) {
     case arch::SeqOp::kNext:
-      ++pc_;
       break;
     case arch::SeqOp::kJump:
-      pc_ = plan.seq_target;
+      next = plan.seq_target;
       break;
     case arch::SeqOp::kBranchIf:
-      pc_ = cond(plan.seq_cond_reg) ? plan.seq_target : pc_ + 1;
+      next = cond ? plan.seq_target : pc + 1;
       break;
     case arch::SeqOp::kBranchNot:
-      pc_ = cond(plan.seq_cond_reg) ? pc_ + 1 : plan.seq_target;
+      next = cond ? pc + 1 : plan.seq_target;
       break;
-    case arch::SeqOp::kLoop: {
-      auto& counter = loop_counters_.at(static_cast<std::size_t>(pc_));
+    case arch::SeqOp::kLoop:
       if (!counter.has_value()) counter = plan.seq_count;
       if (--*counter > 0) {
-        pc_ = plan.seq_target;
+        next = plan.seq_target;
       } else {
         counter.reset();
-        ++pc_;
       }
       break;
-    }
     case arch::SeqOp::kHalt:
-      halted_ = true;
-      break;
+      return {pc, true};
   }
-  if (!halted_ &&
-      (pc_ < 0 || pc_ >= static_cast<int>(program_ ? program_->size() : 0))) {
-    halted_ = true;
-  }
+  return {next, next < 0 || next >= static_cast<int>(program_size)};
+}
+
+void NodeSim::applySequencer(const InstrPlan& plan) {
+  const bool branch = plan.seq_op == arch::SeqOp::kBranchIf ||
+                      plan.seq_op == arch::SeqOp::kBranchNot;
+  const SequencerStep step = sequencerStep(
+      plan, pc_, branch && cond(plan.seq_cond_reg),
+      loop_counters_.at(static_cast<std::size_t>(pc_)), program_->size());
+  pc_ = step.pc;
+  halted_ = step.halt;
 }
 
 InstrStats NodeSim::stepInstruction() {

@@ -15,15 +15,17 @@
 //     scheme is used to signal pipeline completions"), and the central
 //     sequencer (next/jump/branch/loop/halt).
 //
-// Programs load as an immutable sim::CompiledProgram (decode + lowering run
-// once; SPMD systems share one image across all nodes).  The node's memory
-// is a one-lane sim::LaneState, and instructions execute on the one
-// compiled stepper (LaneState::executeCompiledBatch at W = 1) — the same
-// code that steps ensemble and hypercube lane groups.  The legacy
-// interpreter (NodeOptions::use_compiled = false) re-walks the decoded
-// plans per cycle over the same state and is kept as the test-only
-// semantic oracle: both produce bit-identical InstrStats, trace frames, and
-// memory contents (test_compiled.cpp golden tests).
+// Programs load as an immutable sim::CompiledProgram (decode, lowering,
+// verification and value programs run once; SPMD systems share one image
+// across all nodes).  The node's memory is a one-lane sim::LaneState, and
+// instructions execute as value programs (LaneState::executeCompiledBatch
+// at W = 1) — the same code that runs ensemble and hypercube lane groups;
+// with a trace sink attached they take the per-cycle stepper, which builds
+// the debugger's frames.  The legacy interpreter (NodeOptions::use_compiled
+// = false) re-walks the decoded plans per cycle over the same state and is
+// kept as the test-only semantic oracle: all produce bit-identical
+// InstrStats, trace frames, and memory contents (test_compiled.cpp golden
+// tests).
 //
 // Determinism: the simulator is single-threaded and fully deterministic;
 // all state is reset per instruction except memory planes, caches,
@@ -49,7 +51,7 @@ struct NodeOptions {
   std::uint64_t max_cycles_per_instruction = 64ull * 1024 * 1024;
   std::uint64_t max_instructions = 1ull << 20;
   // false selects the legacy per-cycle interpreter, the test-only semantic
-  // oracle for the compiled stepper (same results, slower).  It holds for
+  // oracle for compiled execution (same results, slower).  It holds for
   // every lane: a ReplicaBatch (and so a HypercubeSystem lane group) built
   // with it retires each lane into an interpreter NodeSim when run()
   // starts.
@@ -69,6 +71,21 @@ class ReplicaStore {
  protected:
   ~ReplicaStore() = default;
 };
+
+// One step of the central sequencer: where control goes once the
+// instruction at `pc` (decoded as `plan`) completes.  `cond` is the value
+// of the condition register a branch consults (ignored by other ops), and
+// `counter` is the loop counter of slot `pc`.  A halt, or a next pc outside
+// the program, halts; on kHalt the pc stays put.  NodeSim steps through
+// this, and so does a ReplicaBatch for its lockstep lanes (per lane where a
+// branch consults the condition registers).
+struct SequencerStep {
+  int pc = 0;
+  bool halt = false;
+};
+SequencerStep sequencerStep(const InstrPlan& plan, int pc, bool cond,
+                            std::optional<int>& counter,
+                            std::size_t program_size);
 
 class NodeSim final : public ReplicaStore {
  public:

@@ -181,31 +181,30 @@ CycleWindow intersectWindows(const CycleWindow& a, const CycleWindow& b) {
   return out;
 }
 
+// The window of endpoint `i` (never valid when `i` is out of range).
+CycleWindow windowAt(const std::vector<CycleWindow>& windows, std::int32_t i) {
+  return i >= 0 && static_cast<std::size_t>(i) < windows.size()
+             ? windows[static_cast<std::size_t>(i)]
+             : CycleWindow{};
+}
+
+// The fixpoint's working state: the windows, plus whether a sweep moved one.
 struct WindowState {
-  std::vector<CycleWindow> src;  // index-parallel with machine.sources()
-  std::vector<CycleWindow> dst;  // index-parallel with machine.destinations()
+  InstrWindows& w;
   bool changed = false;
 
-  CycleWindow srcAt(std::int32_t i) const {
-    return i >= 0 && static_cast<std::size_t>(i) < src.size()
-               ? src[static_cast<std::size_t>(i)]
-               : CycleWindow{};
-  }
-  CycleWindow dstAt(std::int32_t i) const {
-    return i >= 0 && static_cast<std::size_t>(i) < dst.size()
-               ? dst[static_cast<std::size_t>(i)]
-               : CycleWindow{};
-  }
-  void setSrc(std::int32_t i, const CycleWindow& w) {
-    if (i < 0 || static_cast<std::size_t>(i) >= src.size()) return;
-    if (src[static_cast<std::size_t>(i)] == w) return;
-    src[static_cast<std::size_t>(i)] = w;
+  CycleWindow srcAt(std::int32_t i) const { return windowAt(w.src, i); }
+  CycleWindow dstAt(std::int32_t i) const { return windowAt(w.dst, i); }
+  void setSrc(std::int32_t i, const CycleWindow& v) {
+    if (i < 0 || static_cast<std::size_t>(i) >= w.src.size()) return;
+    if (w.src[static_cast<std::size_t>(i)] == v) return;
+    w.src[static_cast<std::size_t>(i)] = v;
     changed = true;
   }
-  void setDst(std::int32_t i, const CycleWindow& w) {
-    if (i < 0 || static_cast<std::size_t>(i) >= dst.size()) return;
-    if (dst[static_cast<std::size_t>(i)] == w) return;
-    dst[static_cast<std::size_t>(i)] = w;
+  void setDst(std::int32_t i, const CycleWindow& v) {
+    if (i < 0 || static_cast<std::size_t>(i) >= w.dst.size()) return;
+    if (w.dst[static_cast<std::size_t>(i)] == v) return;
+    w.dst[static_cast<std::size_t>(i)] = v;
     changed = true;
   }
 };
@@ -231,6 +230,17 @@ CycleWindow operandWindow(const WindowState& state, const CompiledFu& fu,
   return w;
 }
 
+// The cycles on which a unit launches, given its operand windows.
+CycleWindow launchWindow(const CompiledFu& fu, const CycleWindow& a,
+                         const CycleWindow& b) {
+  // An accumulator launches whenever its stream operand is valid.
+  if (fu.is_accum) return fu.accum_stream_is_a ? a : b;
+  // The engines gate launch on operand A's validity first; a unit with A
+  // unwired never launches regardless of B.
+  if (!fu.a.wired) return CycleWindow{};
+  return fu.b.wired ? intersectWindows(a, b) : a;
+}
+
 // One sweep of every transfer function, in the engines' phase order.
 void sweepWindows(const CompiledInstr& ci, WindowState& state) {
   for (const CompiledDma& rd : ci.reads) {
@@ -248,22 +258,17 @@ void sweepWindows(const CompiledInstr& ci, WindowState& state) {
     }
   }
   for (const CompiledFu& fu : ci.fus) {
-    const CycleWindow a = operandWindow(state, fu, fu.a);
-    const CycleWindow b = operandWindow(state, fu, fu.b);
+    const CycleWindow launch = launchWindow(
+        fu, operandWindow(state, fu, fu.a), operandWindow(state, fu, fu.b));
     CycleWindow out;
     if (fu.is_accum) {
       // Emits exactly once: when the stream operand's tagged final element
       // flows through.  An endless or empty stream never emits.
-      const CycleWindow& stream = fu.accum_stream_is_a ? a : b;
-      if (stream.any && !stream.unbounded() && stream.tagged) {
-        const std::uint64_t at = stream.last + fu.pipe_len;
+      if (launch.any && !launch.unbounded() && launch.tagged) {
+        const std::uint64_t at = launch.last + fu.pipe_len;
         out = CycleWindow{at, at, true, true};
       }
-    } else if (fu.a.wired) {
-      // The engines gate launch on operand A's validity first; a unit with
-      // A unwired never launches regardless of B.
-      CycleWindow launch = a;
-      if (fu.b.wired) launch = intersectWindows(launch, b);
+    } else {
       out = shiftWindow(launch, fu.pipe_len);
     }
     state.setSrc(fu.out_src, out);
@@ -275,8 +280,35 @@ void sweepWindows(const CompiledInstr& ci, WindowState& state) {
 
 }  // namespace
 
+InstrWindows analyzeWindows(const arch::Machine& machine,
+                            const CompiledInstr& ci) {
+  InstrWindows out;
+  out.src.resize(machine.sources().size());
+  out.dst.resize(machine.destinations().size());
+  WindowState state{out};
+  const std::size_t cap = out.src.size() + out.dst.size() + 8;
+  for (std::size_t iter = 0; iter < cap; ++iter) {
+    state.changed = false;
+    sweepWindows(ci, state);
+    if (!state.changed) {
+      out.converged = true;
+      break;
+    }
+  }
+  out.fu_a.reserve(ci.fus.size());
+  out.fu_b.reserve(ci.fus.size());
+  out.fu_launch.reserve(ci.fus.size());
+  for (const CompiledFu& fu : ci.fus) {
+    out.fu_a.push_back(operandWindow(state, fu, fu.a));
+    out.fu_b.push_back(operandWindow(state, fu, fu.b));
+    out.fu_launch.push_back(launchWindow(fu, out.fu_a.back(), out.fu_b.back()));
+  }
+  return out;
+}
+
 void ProgramVerifier::verifyInstr(const CompiledProgram& program,
                                   std::size_t index,
+                                  const InstrWindows& windows,
                                   VerifyReport& report) const {
   const arch::MachineConfig& cfg = machine_.config();
   const CompiledInstr& ci = program.instrs[index];
@@ -443,20 +475,7 @@ void ProgramVerifier::verifyInstr(const CompiledProgram& program,
   }
 
   // Exact valid-window fixpoint over the instruction's dataflow graph.
-  WindowState state;
-  state.src.resize(machine_.sources().size());
-  state.dst.resize(machine_.destinations().size());
-  const std::size_t cap = state.src.size() + state.dst.size() + 8;
-  bool converged = false;
-  for (std::size_t iter = 0; iter < cap; ++iter) {
-    state.changed = false;
-    sweepWindows(ci, state);
-    if (!state.changed) {
-      converged = true;
-      break;
-    }
-  }
-  if (!converged) return;  // cannot happen (strict combinators)
+  if (!windows.converged) return;  // cannot happen (strict combinators)
 
   // Starvation / underfeed proofs against the completion rules: a write
   // instruction completes only when every engine captured its programmed
@@ -466,7 +485,7 @@ void ProgramVerifier::verifyInstr(const CompiledProgram& program,
   // report a timeout.
   for (const CompiledDma& wr : ci.writes) {
     if (wr.total == 0) continue;
-    const CycleWindow w = state.dstAt(wr.endpoint);
+    const CycleWindow w = windowAt(windows.dst, wr.endpoint);
     if (!w.any) {
       diag(VerifyCode::kStarvedWrite, check::Severity::kError,
            dstEndpoint(wr.endpoint), w,
@@ -486,7 +505,7 @@ void ProgramVerifier::verifyInstr(const CompiledProgram& program,
     }
   }
   if (ci.cond_enable && (!ci.reads.empty() || !ci.writes.empty())) {
-    const CycleWindow w = state.srcAt(ci.cond_src);
+    const CycleWindow w = windowAt(windows.src, ci.cond_src);
     const bool fires = w.any && !w.unbounded() && w.tagged;
     if (!fires) {
       diag(VerifyCode::kStarvedCond, check::Severity::kError,
@@ -502,10 +521,21 @@ void ProgramVerifier::verifyInstr(const CompiledProgram& program,
 }
 
 VerifyReport ProgramVerifier::verify(const CompiledProgram& program) const {
+  std::vector<InstrWindows> windows;
+  windows.reserve(program.instrs.size());
+  for (const CompiledInstr& ci : program.instrs) {
+    windows.push_back(analyzeWindows(machine_, ci));
+  }
+  return verify(program, windows);
+}
+
+VerifyReport ProgramVerifier::verify(
+    const CompiledProgram& program,
+    const std::vector<InstrWindows>& windows) const {
   VerifyReport report;
   report.instrs.resize(program.instrs.size());
   for (std::size_t i = 0; i < program.instrs.size(); ++i) {
-    verifyInstr(program, i, report);
+    verifyInstr(program, i, windows[i], report);
   }
   return report;
 }

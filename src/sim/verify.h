@@ -12,8 +12,11 @@
 //     (DMA reads emit cycles [0, total); the registered switch adds one
 //     cycle; delay queues and shift/delay taps add their depth; an FU
 //     launches on the intersection of its wired stream windows), so the
-//     analysis computes, per switch endpoint, exactly which cycles carry
-//     valid tokens and where the stream-`last` tag lands;
+//     analysis (analyzeWindows, below) computes, per switch endpoint,
+//     exactly which cycles carry valid tokens and where the stream-`last`
+//     tag lands.  The same windows feed the value-program builder
+//     (sim/value_program.h), which turns them into the cycle window of
+//     every load, evaluation and store;
 //   * DMA bounds are proven against the instantiated plane configuration
 //     (the stringly ci.dma_error became the typed CompiledInstr::fault);
 //   * write engines whose windows provably under-deliver, and condition
@@ -81,6 +84,23 @@ struct CycleWindow {
   bool operator==(const CycleWindow&) const = default;
 };
 
+// The exact valid-window analysis of one lowered instruction: a least
+// fixpoint of the transfer functions in the engines' phase order (see
+// verify.cpp).  The verifier proves starvation and underfeed from it; the
+// value-program builder derives every operation's active cycles from it.
+struct InstrWindows {
+  std::vector<CycleWindow> src;  // index-parallel with machine.sources()
+  std::vector<CycleWindow> dst;  // index-parallel with machine.destinations()
+  // Per CompiledInstr::fus entry: operand windows as the unit samples them
+  // (after the delay queue), and the cycles on which the unit launches (an
+  // accumulator: its stream operand's window).
+  std::vector<CycleWindow> fu_a, fu_b, fu_launch;
+  bool converged = false;  // always true for a well-formed instruction
+};
+
+InstrWindows analyzeWindows(const arch::Machine& machine,
+                            const CompiledInstr& ci);
+
 struct VerifyDiagnostic {
   VerifyCode code = VerifyCode::kDmaBounds;
   check::Severity severity = check::Severity::kError;
@@ -126,10 +146,14 @@ class ProgramVerifier {
   // index-parallel).  Does not mutate the program; CompiledProgram::compile
   // runs this and stores the report on the program.
   VerifyReport verify(const CompiledProgram& program) const;
+  // The same, over windows already computed by analyzeWindows (one per
+  // instruction, index-parallel), so a compile runs the analysis once.
+  VerifyReport verify(const CompiledProgram& program,
+                      const std::vector<InstrWindows>& windows) const;
 
  private:
   void verifyInstr(const CompiledProgram& program, std::size_t index,
-                   VerifyReport& report) const;
+                   const InstrWindows& windows, VerifyReport& report) const;
 
   const arch::Machine& machine_;
 };

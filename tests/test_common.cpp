@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 
@@ -220,6 +222,87 @@ TEST(JsonTest, NonFiniteTokensRejectTrailingGarbage) {
   EXPECT_FALSE(Json::parse("Infinit").isOk());
   EXPECT_FALSE(Json::parse("-Inf").isOk());
   EXPECT_FALSE(Json::parse("Infinity7").isOk());
+}
+
+// Numbers print as "%lld" (integers below 1e15) or "%.17g" would print
+// them, and parse as strtod would read them.
+TEST(JsonTest, NumbersMatchPrintfAndStrtod) {
+  const double two53 = 9007199254740992.0;
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(Json(0.0).dump(), "0");
+  EXPECT_EQ(Json(-0.0).dump(), "0");
+  EXPECT_EQ(Json(two53).dump(), "9007199254740992");
+  EXPECT_EQ(Json(-two53).dump(), "-9007199254740992");
+  EXPECT_EQ(Json(999999999999999.0).dump(), "999999999999999");
+  EXPECT_EQ(Json(1e15).dump(), "1000000000000000");
+  EXPECT_EQ(Json(-1e15).dump(), "-1000000000000000");
+  EXPECT_EQ(Json(1e15 + 0.5).dump(), "1000000000000000.5");
+  EXPECT_EQ(Json(0.1).dump(), "0.10000000000000001");
+  EXPECT_EQ(Json(denorm).dump(), "4.9406564584124654e-324");
+  EXPECT_EQ(Json(std::numeric_limits<double>::min()).dump(),
+            "2.2250738585072014e-308");
+  EXPECT_EQ(Json(std::numeric_limits<double>::max()).dump(),
+            "1.7976931348623157e+308");
+
+  EXPECT_TRUE(std::signbit(Json::parse("-0").value().asDouble()));
+  EXPECT_FALSE(std::signbit(Json::parse("0").value().asDouble()));
+  EXPECT_EQ(Json::parse("9007199254740993").value().asDouble(), two53);
+  EXPECT_EQ(Json::parse("4.9406564584124654e-324").value().asDouble(),
+            denorm);
+  EXPECT_EQ(Json::parse("+2.5").value().asDouble(), 2.5);
+  EXPECT_EQ(Json::parse("1e400").value().asDouble(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(Json::parse("-1e400").value().asDouble(),
+            -std::numeric_limits<double>::infinity());
+  const double tiny = Json::parse("1e-400").value().asDouble();
+  EXPECT_EQ(tiny, 0.0);
+  EXPECT_FALSE(std::signbit(tiny));
+  EXPECT_TRUE(std::isnan(Json::parse("NaN").value().asDouble()));
+  EXPECT_EQ(Json::parse("-Infinity").value().asDouble(),
+            -std::numeric_limits<double>::infinity());
+
+  // Random bit patterns, scaled values and short decimals.
+  Rng rng(29);
+  for (int i = 0; i < 20000; ++i) {
+    double v = 0.0;
+    switch (i % 3) {
+      case 0: v = std::bit_cast<double>(rng.next()); break;
+      case 1: v = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.range(-30, 30)); break;
+      default: v = static_cast<double>(rng.range(-99999, 99999)) / 1000.0; break;
+    }
+    if (!std::isfinite(v)) continue;
+    const std::string want =
+        std::floor(v) == v && std::abs(v) < 1e15
+            ? strFormat("%lld", static_cast<long long>(v))
+            : strFormat("%.17g", v);
+    ASSERT_EQ(Json(v).dump(), want);
+    const double back = Json::parse(want).value().asDouble();
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(back),
+              std::bit_cast<std::uint64_t>(std::strtod(want.c_str(), nullptr)))
+        << want;
+  }
+}
+
+TEST(JsonTest, UnicodeEscapesDecodeToUtf8) {
+  EXPECT_EQ(Json::parse(R"("\u0041")").value().asString(), "A");
+  EXPECT_EQ(Json::parse(R"("\u00e9")").value().asString(), "\xc3\xa9");
+  EXPECT_EQ(Json::parse(R"("\u20ac")").value().asString(), "\xe2\x82\xac");
+  EXPECT_EQ(Json::parse(R"("\uFFFD")").value().asString(), "\xef\xbf\xbd");
+  // A surrogate pair is one code point beyond U+FFFF: four bytes.
+  EXPECT_EQ(Json::parse(R"("\ud83d\ude00")").value().asString(),
+            "\xf0\x9f\x98\x80");
+}
+
+TEST(JsonTest, BadUnicodeEscapesAreParseErrors) {
+  for (const char* bad :
+       {R"("\u12zz")", R"("\u12")", R"("\u-123")", R"("\u+123")",
+        R"("\ud83d")", R"("\ud83dx")", R"("\ud83d\u0041")",
+        R"("\ude00")", R"("\ud83d\ud83d")"}) {
+    const auto parsed = Json::parse(bad);
+    EXPECT_FALSE(parsed.isOk()) << bad;
+    EXPECT_NE(parsed.message().find("JSON parse error"), std::string::npos)
+        << bad;
+  }
 }
 
 TEST(StatusTest, OkAndError) {

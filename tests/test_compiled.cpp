@@ -1,15 +1,16 @@
-// Golden cycle-exactness tests for the compiled stepper.
+// Golden cycle-exactness tests for compiled execution.
 //
-// The compiled stepper (LaneState::executeCompiledBatch, sim/lane_state.cpp)
-// must be indistinguishable from the legacy per-cycle interpreter
+// Compiled execution (LaneState::executeCompiledBatch, sim/lane_state.cpp:
+// the instruction's value program, or the stepper for a traced run) must be
+// indistinguishable from the legacy per-cycle interpreter
 // (NodeSim::execute): identical per-instruction cycles/flops/hazards,
 // identical fu_launches, identical memory-plane and cache contents,
 // identical trace frames, identical error behavior.  These tests run the
 // same executables through both — NodeOptions::use_compiled selects the
 // executor — and compare everything observable, on the paper's Figure-11
 // Jacobi workload and on targeted corner cases (condition latch,
-// accumulator drain, timeout, DMA faults), at one lane (a NodeSim) and at
-// W lanes (a ReplicaBatch).
+// accumulator drain, timeout, DMA faults, truncated runs, values carried by
+// invalid tokens), at one lane (a NodeSim) and at W lanes (a ReplicaBatch).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "arch/machine.h"
+#include "arch/microword_spec.h"
 #include "cfd/jacobi_program.h"
 #include "cfd/poisson.h"
 #include "microcode/generator.h"
@@ -27,6 +29,7 @@
 #include "sim/hypercube.h"
 #include "sim/node.h"
 #include "sim/program_cache.h"
+#include "sim/value_program.h"
 #include "sim/verify.h"
 #include "test_helpers.h"
 
@@ -432,6 +435,29 @@ void runBatchGolden(const Machine& machine, const mc::GenerateResult& gen,
   if (result_out != nullptr) *result_out = std::move(result);
 }
 
+// Mirrors JacobiProgram::load through the ReplicaStore interface, with the
+// right-hand side scaled per lane so every lane computes different data.
+std::function<void(int, sim::ReplicaStore&)> jacobiSeed(
+    const cfd::JacobiProgram& jacobi, const cfd::PoissonProblem& problem,
+    const cfd::JacobiBuildOptions& options) {
+  return [&jacobi, &problem, options](int w, sim::ReplicaStore& store) {
+    const cfd::JacobiLayout& layout = jacobi.layout();
+    const auto pad = static_cast<std::uint64_t>(layout.pad);
+    std::vector<double> f = problem.f;
+    for (double& v : f) v *= 1.0 + 0.25 * w;
+    for (const arch::PlaneId pl : layout.u_a) store.writePlane(pl, pad, problem.u0);
+    for (const arch::PlaneId pl : layout.u_b) store.writePlane(pl, pad, problem.u0);
+    store.writePlane(layout.f_plane, pad, f);
+    if (layout.mask_plane >= 0) {
+      store.writePlane(layout.mask_plane, pad, options.grid.interiorMask());
+    }
+    if (layout.res_plane >= 0) {
+      const double zero[] = {0.0};
+      store.writePlane(layout.res_plane, 0, zero);
+    }
+  };
+}
+
 // The two-FU scale pipeline over per-lane distinct vectors, at every lane
 // width the ensemble engine uses in practice (1 = a NodeSim's width,
 // 13 = odd width such as an ensemble remainder, 8/16 = the SIMD sweet
@@ -519,27 +545,9 @@ TEST(BatchedGolden, Figure11JacobiFixedSweepsLanes8) {
   const mc::GenerateResult gen = generator.generate(jacobi.program());
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
-  // Mirror JacobiProgram::load through the ReplicaStore interface, with the
-  // right-hand side scaled per lane so every lane computes different data.
-  const cfd::JacobiLayout& layout = jacobi.layout();
-  const auto pad = static_cast<std::uint64_t>(layout.pad);
-  const auto seed = [&](int w, sim::ReplicaStore& store) {
-    std::vector<double> f = problem.f;
-    for (double& v : f) v *= 1.0 + 0.25 * w;
-    for (const arch::PlaneId pl : layout.u_a) store.writePlane(pl, pad, problem.u0);
-    for (const arch::PlaneId pl : layout.u_b) store.writePlane(pl, pad, problem.u0);
-    store.writePlane(layout.f_plane, pad, f);
-    if (layout.mask_plane >= 0) {
-      store.writePlane(layout.mask_plane, pad, options.grid.interiorMask());
-    }
-    if (layout.res_plane >= 0) {
-      const double zero[] = {0.0};
-      store.writePlane(layout.res_plane, 0, zero);
-    }
-  };
-  const std::uint64_t words =
-      static_cast<std::uint64_t>(options.grid.N()) + 2 * pad;
-  runBatchGolden(machine, gen, 8, words, seed);
+  const std::uint64_t words = static_cast<std::uint64_t>(options.grid.N()) +
+                              2 * static_cast<std::uint64_t>(jacobi.layout().pad);
+  runBatchGolden(machine, gen, 8, words, jacobiSeed(jacobi, problem, options));
 }
 
 // Builds the three-instruction divergence harness: instruction 0 reduces
@@ -698,6 +706,209 @@ TEST(BatchedGolden, DmaCapacityFaultAllLanes) {
     EXPECT_TRUE(run.error);
     EXPECT_EQ(run.fault, sim::FaultKind::kDmaBounds);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Value-program edges (sim/value_program.h): the cases a windowed list of
+// loads, evaluations and stores could get wrong that a completing golden
+// run would not show.
+// ---------------------------------------------------------------------------
+
+cfd::JacobiBuildOptions figure11Options() {
+  cfd::JacobiBuildOptions options;
+  options.grid = {8, 8, 8};
+  options.h = 1.0 / 7.0;
+  options.convergence_mode = true;
+  options.tol = 1e-3;
+  return options;
+}
+
+// The Figure-11 sweep (JacobiProgram's first instruction, 447 cycles) cut
+// short by the cycle budget: 1 cycle, inside the pipeline fill, mid-stream,
+// and one cycle before completion.  Memory effects, stats and the timeout
+// fault must match the interpreter cycle for cycle, at one lane and at
+// eight.
+TEST(ValueProgramGolden, TruncatedFigure11SweepMatchesInterpreter) {
+  const Machine machine;
+  const cfd::JacobiBuildOptions options = figure11Options();
+  const cfd::JacobiProgram jacobi(machine, options);
+  const cfd::PoissonProblem problem = cfd::PoissonProblem::manufactured(
+      options.grid.nx, options.grid.ny, options.grid.nz);
+  mc::Generator generator(machine);
+  const mc::GenerateResult gen = generator.generate(jacobi.program());
+  ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
+  const auto program = sim::CompiledProgram::compile(machine, gen.exe);
+  ASSERT_NE(program->instrs[0].value, nullptr);
+  ASSERT_EQ(program->instrs[0].value->last_cycle, 446u);
+  const std::uint64_t words = static_cast<std::uint64_t>(options.grid.N()) +
+                              2 * static_cast<std::uint64_t>(jacobi.layout().pad);
+
+  for (const std::uint64_t budget : {1u, 20u, 200u, 446u, 447u}) {
+    SCOPED_TRACE("max_cycles " + std::to_string(budget));
+    sim::NodeSim::Options value_options;
+    value_options.max_cycles_per_instruction = budget;
+    sim::NodeSim::Options legacy_options = legacyOptions();
+    legacy_options.max_cycles_per_instruction = budget;
+    NodeSim legacy(machine, legacy_options);
+    NodeSim value(machine, value_options);
+    legacy.load(program);
+    value.load(program);
+    jacobi.load(legacy, problem);
+    jacobi.load(value, problem);
+    const sim::InstrStats legacy_step = legacy.stepInstruction();
+    const sim::InstrStats value_step = value.stepInstruction();
+    EXPECT_EQ(legacy_step.error, budget < 447u);
+    EXPECT_EQ(legacy_step.fault, value_step.fault);
+    EXPECT_EQ(legacy_step.error_message, value_step.error_message);
+    EXPECT_EQ(legacy_step.cycles, value_step.cycles);
+    EXPECT_EQ(legacy_step.flops, value_step.flops);
+    EXPECT_EQ(legacy_step.hazards, value_step.hazards);
+    expectIdenticalMemory(machine, legacy, value, words);
+    for (int reg = 0; reg < 4; ++reg) {
+      EXPECT_EQ(legacy.cond(reg), value.cond(reg)) << "cond reg " << reg;
+    }
+    // The whole run: the truncated sweep ends it with the timeout fault.
+    runBatchGolden(machine, gen, 8, words,
+                   jacobiSeed(jacobi, problem, options), value_options);
+  }
+}
+
+// Pins the Figure-11 sweep's value program: its size does not depend on
+// stream length, so a count guards the memory that 64 cached programs keep
+// resident.
+TEST(ValueProgramGolden, Figure11SweepProgramSize) {
+  const Machine machine;
+  const cfd::JacobiProgram jacobi(machine, figure11Options());
+  mc::Generator generator(machine);
+  const mc::GenerateResult gen = generator.generate(jacobi.program());
+  ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
+  const auto program = sim::CompiledProgram::compile(machine, gen.exe);
+  const sim::ValueProgram& vp = *program->instrs[0].value;
+  // 6 loads, 15 evaluations (the accumulator included), 3 stores, 1 latch.
+  EXPECT_EQ(vp.ops.size(), 25u);
+  EXPECT_EQ(vp.segments.size(), 27u);
+  EXPECT_EQ(vp.columns, 315u);
+  EXPECT_EQ(vp.bytes(), 3586u);
+  // Every instruction of the program has one; none takes the stepper.
+  for (const sim::CompiledInstr& ci : program->instrs) {
+    EXPECT_NE(ci.value, nullptr);
+  }
+}
+
+// One cache buffer that the instruction both reads and fills, over the same
+// words (a single-buffered machine shares the buffer between the two
+// engines): loads must see memory exactly as the interpreter's phase order
+// leaves it.
+TEST(ValueProgramGolden, ReadAndFillOfOneBufferOverlap) {
+  arch::MachineConfig cfg;
+  cfg.cache_buffers = 1;
+  const Machine machine(cfg);
+  const int n = 40;
+  prog::Program p;
+  prog::PipelineDiagram& d = p.append("overlap");
+  const arch::AlsId als = machine.config().num_singlets;
+  const arch::FuId mul = machine.als(als).fus[0];
+  d.setFuOp(machine, mul, OpCode::kMul);
+  d.connect(machine, Endpoint::cacheRead(3), Endpoint::fuInput(mul, 0));
+  d.setConstInput(machine, mul, 1, 1.5);
+  d.connect(machine, Endpoint::fuOutput(mul), Endpoint::cacheWrite(3));
+  for (const Endpoint e : {Endpoint::cacheRead(3), Endpoint::cacheWrite(3)}) {
+    d.dmaAt(e) = {"", 2, 1, static_cast<std::uint64_t>(n), 1, 0, 0, false};
+  }
+  d.seq.op = arch::SeqOp::kHalt;
+  mc::Generator generator(machine);
+  mc::GenerateOptions gen_options;
+  gen_options.run_checker = false;
+  const mc::GenerateResult gen = generator.generate(p, gen_options);
+  ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
+  const auto program = sim::CompiledProgram::compile(machine, gen.exe);
+  ASSERT_EQ(program->instrs[0].reads.size(), 1u);
+  ASSERT_EQ(program->instrs[0].writes.size(), 1u);
+  ASSERT_EQ(program->instrs[0].reads[0].buffer,
+            program->instrs[0].writes[0].buffer);
+  ASSERT_NE(program->instrs[0].value, nullptr);
+
+  const auto seed = [n](int w, sim::ReplicaStore& store) {
+    store.writeCache(3, 0, 0, test::iota(n + 4, 1.0 + w, 0.5));
+  };
+  for (const int lanes : {1, 4}) runBatchGolden(machine, gen, lanes, 16, seed);
+}
+
+// Accumulator Y folds a stream while its other operand is accumulator X's
+// output, valid only on X's last element; every other cycle that operand
+// carries an invalid token whose value is X's running value, X's seed
+// before X's stream arrives, or zero before X's pipeline fills.  Y's final
+// value (stored through a one-element write) shows which one it saw.
+void runAccumulatorChain(std::uint64_t x_count, int x_delay,
+                         std::uint64_t y_count) {
+  SCOPED_TRACE("x_count " + std::to_string(x_count) + " x_delay " +
+               std::to_string(x_delay) + " y_count " + std::to_string(y_count));
+  const Machine machine;
+  prog::Program p;
+  prog::PipelineDiagram& d = p.append("chain");
+  const arch::AlsId als = machine.config().num_singlets;
+  const arch::FuId x = machine.als(als).fus[1];       // min/max capable
+  const arch::FuId y = machine.als(als + 1).fus[0];
+  d.connect(machine, Endpoint::planeRead(0), Endpoint::sdInput(0));
+  d.useSd(0, {x_delay});
+  d.setFuOp(machine, x, OpCode::kMax);
+  d.connect(machine, Endpoint::sdOutput(0, 0), Endpoint::fuInput(x, 0));
+  d.setAccumInput(machine, x, 1, -5.0);
+  d.setFuOp(machine, y, OpCode::kSub);
+  d.connect(machine, Endpoint::planeRead(1), Endpoint::fuInput(y, 0));
+  d.setAccumInput(machine, y, 1, 0.25);
+  d.connect(machine, Endpoint::fuOutput(y), Endpoint::planeWrite(2));
+  d.dmaAt(Endpoint::planeRead(0)) = {"", 0, 1, x_count, 1, 0, 0, false};
+  d.dmaAt(Endpoint::planeRead(1)) = {"", 0, 1, y_count, 1, 0, 0, false};
+  d.dmaAt(Endpoint::planeWrite(2)) = {"", 0, 1, 1, 1, 0, 0, false};
+  d.seq.op = arch::SeqOp::kHalt;
+  mc::Generator generator(machine);
+  mc::GenerateOptions gen_options;
+  gen_options.run_checker = false;
+  mc::GenerateResult gen = generator.generate(p, gen_options);
+  ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
+  // Rewire Y's B operand from its own feedback to X's output through the
+  // switch: Y stays an accumulator, its non-stream operand now X's stream.
+  const auto spec = arch::MicrowordSpec::shared(machine);
+  common::BitVector& word = gen.exe.words[0];
+  spec->set(word, arch::MicrowordSpec::fuField(y, "in_b_sel"),
+            static_cast<std::uint64_t>(arch::InputSelect::kSwitch));
+  spec->set(word,
+            arch::MicrowordSpec::switchField(
+                machine.destinationIndex(Endpoint::fuInput(y, 1))),
+            static_cast<std::uint64_t>(
+                machine.sourceIndex(Endpoint::fuOutput(x)) + 1));
+  const auto program = sim::CompiledProgram::compile(machine, gen.exe);
+  ASSERT_EQ(program->instrs[0].fus.size(), 2u);
+  ASSERT_TRUE(program->instrs[0].fus[1].is_accum);
+  ASSERT_EQ(program->instrs[0].fus[1].b.kind, sim::OperandKind::kSwitch);
+  ASSERT_NE(program->instrs[0].value, nullptr);
+
+  const auto seed = [](int w, sim::ReplicaStore& store) {
+    store.writePlane(0, 0, test::iota(64, 0.5 + w, 0.75));
+    store.writePlane(1, 0, test::iota(64, 10.0 - w, -0.5));
+  };
+  sim::NodeSim::Options options;
+  options.max_cycles_per_instruction = 4000;
+  for (const int lanes : {1, 8}) {
+    runBatchGolden(machine, gen, lanes, 4, seed, options);
+  }
+}
+
+TEST(ValueProgramGolden, AccumulatorReadsAnotherAccumulatorsRunningValue) {
+  runAccumulatorChain(40, 0, 12);  // Y ends while X is mid-stream
+}
+
+TEST(ValueProgramGolden, AccumulatorReadsAnotherAccumulatorsFinalValue) {
+  runAccumulatorChain(8, 0, 30);  // Y ends after X's stream ended
+}
+
+TEST(ValueProgramGolden, AccumulatorReadsAnotherAccumulatorsSeed) {
+  runAccumulatorChain(8, 40, 20);  // Y ends before X's delayed stream
+}
+
+TEST(ValueProgramGolden, AccumulatorReadsAnUnfilledPipeline) {
+  runAccumulatorChain(8, 0, 1);  // Y ends before X's pipeline fills
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 //      accepts connection-by-connection, the global pass accepts too;
 //   5. verifier soundness: randomly mutated microcode either verifies clean
 //      and executes fault-free on both engines, or the verifier's fault
-//      prediction matches the runtime fault — no false-clean verdicts.
+//      prediction matches the runtime fault — no false-clean verdicts; the
+//      value program's build-time stats match the interpreter's.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -22,6 +23,7 @@
 #include "sim/compiled.h"
 #include "sim/hypercube.h"
 #include "sim/node.h"
+#include "sim/value_program.h"
 #include "sim/verify.h"
 #include "test_helpers.h"
 
@@ -352,22 +354,56 @@ TEST_P(VerifierSoundnessTest, CleanRunsFaultFreeErrorsPredictTheRuntimeFault) {
   ASSERT_NE(program->verify, nullptr);
   const sim::VerifyReport& report = *program->verify;
 
-  const auto execute = [&](bool use_compiled) {
+  constexpr std::uint64_t kBudget = 2000;
+  std::vector<double> legacy_out, compiled_out;
+  const auto execute = [&](bool use_compiled, std::vector<double>& out) {
     sim::NodeSim::Options options;
     options.use_compiled = use_compiled;
-    options.max_cycles_per_instruction = 2000;
+    options.max_cycles_per_instruction = kBudget;
     sim::NodeSim node(machine, options);
     node.load(program);
     node.writePlane(0, 0, test::iota(n, 1.0, 0.5));
     node.writePlane(1, 0, test::iota(n, -2.0, 0.25));
-    return node.run();
+    const sim::RunStats run = node.run();
+    out = node.readPlane(2, 0, 2 * static_cast<std::uint64_t>(n));
+    return run;
   };
-  const sim::RunStats legacy = execute(false);
-  const sim::RunStats compiled = execute(true);
+  const sim::RunStats legacy = execute(false, legacy_out);
+  const sim::RunStats compiled = execute(true, compiled_out);
 
-  // The engines agree on the fault verdict no matter what the bits say.
+  // The engines agree on the fault verdict no matter what the bits say,
+  // and on every stat and every word written.
   EXPECT_EQ(legacy.error, compiled.error) << report.format();
   EXPECT_EQ(legacy.fault, compiled.fault) << report.format();
+  EXPECT_EQ(legacy.total_cycles, compiled.total_cycles);
+  EXPECT_EQ(legacy.total_flops, compiled.total_flops);
+  EXPECT_EQ(legacy.total_hazards, compiled.total_hazards);
+  EXPECT_EQ(legacy.fu_launches, compiled.fu_launches);
+  EXPECT_EQ(legacy_out, compiled_out);
+
+  // The value program's build-time facts predict the interpreter's stats:
+  // a completing instruction's cycles, flops, hazards and launches, or the
+  // same counts cut at the cycle budget when it never completes.  Only an
+  // instruction that faults at issue has no value program.
+  ASSERT_EQ(legacy.trace.size(), 1u);
+  const sim::InstrStats& step = legacy.trace[0];
+  const sim::ValueProgram* vp = program->instrs[0].value.get();
+  EXPECT_EQ(vp == nullptr, step.fault == sim::FaultKind::kDmaBounds);
+  if (vp != nullptr) {
+    const bool completes = vp->last_cycle < kBudget;
+    EXPECT_EQ(completes, !step.error) << report.format();
+    const std::uint64_t last = completes ? vp->last_cycle : kBudget - 1;
+    std::vector<std::uint64_t> launches(legacy.fu_launches.size(), 0);
+    const auto [flops, hazards] = vp->count(last, launches);
+    EXPECT_EQ(last + 1, step.cycles);
+    EXPECT_EQ(flops, step.flops);
+    EXPECT_EQ(hazards, step.hazards);
+    EXPECT_EQ(launches, legacy.fu_launches);
+    if (completes) {
+      EXPECT_EQ(vp->flops, step.flops);
+      EXPECT_EQ(vp->hazards, step.hazards);
+    }
+  }
 
   // The batched SoA engine reaches the same verdict in every lane: no
   // mutation may execute false-clean (or fault differently) just because
