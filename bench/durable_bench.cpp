@@ -157,28 +157,6 @@ BENCHMARK(BM_CheckpointWriteRestore)->Unit(benchmark::kMicrosecond);
 constexpr int kSessions = 8;
 constexpr int kChunks = 8;
 
-std::vector<std::string> figure11Chunks() {
-  const std::string script = figure11SessionScript();
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < script.size()) {
-    std::size_t end = script.find('\n', start);
-    if (end == std::string::npos) end = script.size() - 1;
-    lines.push_back(script.substr(start, end - start + 1));
-    start = end + 1;
-  }
-  std::vector<std::string> chunks(kChunks);
-  const std::size_t n = lines.size();
-  for (int c = 0; c < kChunks; ++c) {
-    const std::size_t lo = n * static_cast<std::size_t>(c) / kChunks;
-    const std::size_t hi = n * static_cast<std::size_t>(c + 1) / kChunks;
-    for (std::size_t i = lo; i < hi; ++i) {
-      chunks[static_cast<std::size_t>(c)] += lines[i];
-    }
-  }
-  return chunks;
-}
-
 void BM_SessionThroughput_Durable(benchmark::State& state) {
   sim::CompiledProgramCache cache;
   svc::ServiceOptions options;
@@ -189,7 +167,7 @@ void BM_SessionThroughput_Durable(benchmark::State& state) {
       freshCheckpointDir("nsc_durable_bench_tp");
   options.durability.recover = true;
   svc::WorkbenchService service(options);
-  const std::vector<std::string> chunks = figure11Chunks();
+  const std::vector<std::string> chunks = figure11SessionChunks(kChunks);
   for (auto _ : state) {
     std::vector<std::uint64_t> ids(kSessions);
     for (int s = 0; s < kSessions; ++s) {

@@ -43,31 +43,6 @@ using namespace nsc;
 constexpr int kSessions = 8;
 constexpr int kChunks = 8;
 
-// The Figure-11 script cut into kChunks line-balanced command batches —
-// the same chunking as bench/service_throughput.cpp so the loopback and
-// in-process numbers time the same interaction.
-std::vector<std::string> figure11Chunks() {
-  const std::string script = figure11SessionScript();
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < script.size()) {
-    std::size_t end = script.find('\n', start);
-    if (end == std::string::npos) end = script.size() - 1;
-    lines.push_back(script.substr(start, end - start + 1));
-    start = end + 1;
-  }
-  std::vector<std::string> chunks(kChunks);
-  const std::size_t n = lines.size();
-  for (int c = 0; c < kChunks; ++c) {
-    const std::size_t lo = n * static_cast<std::size_t>(c) / kChunks;
-    const std::size_t hi = n * static_cast<std::size_t>(c + 1) / kChunks;
-    for (std::size_t i = lo; i < hi; ++i) {
-      chunks[static_cast<std::size_t>(c)] += lines[i];
-    }
-  }
-  return chunks;
-}
-
 svc::ServiceOptions benchServiceOptions(sim::CompiledProgramCache& cache) {
   svc::ServiceOptions options;
   options.shards = 4;
@@ -149,7 +124,7 @@ class PipelinedConnection {
 void printArtifact() {
   bench::banner("net_throughput",
                 "the wire protocol as a zero-answer-drift transport");
-  const std::vector<std::string> chunks = figure11Chunks();
+  const std::vector<std::string> chunks = figure11SessionChunks(kChunks);
 
   sim::CompiledProgramCache cache;
   svc::WorkbenchService service(benchServiceOptions(cache));
@@ -212,7 +187,7 @@ void BM_LoopbackSessionThroughput(benchmark::State& state) {
     return;
   }
   const std::uint16_t port = server.port();
-  const std::vector<std::string> chunks = figure11Chunks();
+  const std::vector<std::string> chunks = figure11SessionChunks(kChunks);
   for (auto _ : state) {
     std::vector<std::thread> users;
     users.reserve(kSessions);
@@ -244,7 +219,7 @@ BENCHMARK(BM_LoopbackSessionThroughput)
 void BM_InProcessSessionSync(benchmark::State& state) {
   sim::CompiledProgramCache cache;
   svc::WorkbenchService service(benchServiceOptions(cache));
-  const std::vector<std::string> chunks = figure11Chunks();
+  const std::vector<std::string> chunks = figure11SessionChunks(kChunks);
   for (auto _ : state) {
     std::vector<std::thread> users;
     users.reserve(kSessions);
@@ -273,7 +248,7 @@ BENCHMARK(BM_InProcessSessionSync)
 void BM_InProcessSessionBaseline(benchmark::State& state) {
   sim::CompiledProgramCache cache;
   svc::WorkbenchService service(benchServiceOptions(cache));
-  const std::vector<std::string> chunks = figure11Chunks();
+  const std::vector<std::string> chunks = figure11SessionChunks(kChunks);
   for (auto _ : state) {
     std::vector<std::uint64_t> ids(kSessions);
     for (int s = 0; s < kSessions; ++s) {
@@ -313,7 +288,7 @@ void BM_LoopbackSessionPipelined(benchmark::State& state) {
     state.SkipWithError("loopback server failed to start");
     return;
   }
-  const std::vector<std::string> chunks = figure11Chunks();
+  const std::vector<std::string> chunks = figure11SessionChunks(kChunks);
   for (auto _ : state) {
     std::vector<std::unique_ptr<PipelinedConnection>> connections;
     std::vector<std::uint64_t> ids;

@@ -98,27 +98,6 @@ BENCHMARK(BM_ServiceThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 constexpr int kSessions = 8;
 constexpr int kChunks = 8;
 
-// The Figure-11 script cut into kChunks line-balanced command batches.
-std::vector<std::string> figure11Chunks() {
-  const std::string script = figure11SessionScript();
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < script.size()) {
-    std::size_t end = script.find('\n', start);
-    if (end == std::string::npos) end = script.size() - 1;
-    lines.push_back(script.substr(start, end - start + 1));
-    start = end + 1;
-  }
-  std::vector<std::string> chunks(kChunks);
-  const std::size_t n = lines.size();
-  for (int c = 0; c < kChunks; ++c) {
-    const std::size_t lo = n * static_cast<std::size_t>(c) / kChunks;
-    const std::size_t hi = n * static_cast<std::size_t>(c + 1) / kChunks;
-    for (std::size_t i = lo; i < hi; ++i) chunks[static_cast<std::size_t>(c)] += lines[i];
-  }
-  return chunks;
-}
-
 svc::ServiceOptions sessionServiceOptions(sim::CompiledProgramCache& cache) {
   svc::ServiceOptions options;
   options.shards = 4;
@@ -132,7 +111,7 @@ svc::ServiceOptions sessionServiceOptions(sim::CompiledProgramCache& cache) {
 void printSessionArtifact() {
   sim::CompiledProgramCache cache;
   svc::WorkbenchService service(sessionServiceOptions(cache));
-  const std::vector<std::string> chunks = figure11Chunks();
+  const std::vector<std::string> chunks = figure11SessionChunks(kChunks);
   const svc::ServiceReply opened = service.submit(svc::OpenSession{}).get();
   std::vector<svc::ServiceReply> replies;
   for (int c = 0; c < kChunks; ++c) {
@@ -182,7 +161,7 @@ void printSessionArtifact() {
 void BM_SessionThroughput_Persistent(benchmark::State& state) {
   sim::CompiledProgramCache cache;
   svc::WorkbenchService service(sessionServiceOptions(cache));
-  const std::vector<std::string> chunks = figure11Chunks();
+  const std::vector<std::string> chunks = figure11SessionChunks(kChunks);
   for (auto _ : state) {
     std::vector<std::uint64_t> ids(kSessions);
     for (int s = 0; s < kSessions; ++s) {
@@ -219,7 +198,7 @@ BENCHMARK(BM_SessionThroughput_Persistent)
 void BM_SessionThroughput_PerRequestReset(benchmark::State& state) {
   sim::CompiledProgramCache cache;
   svc::WorkbenchService service(sessionServiceOptions(cache));
-  const std::vector<std::string> chunks = figure11Chunks();
+  const std::vector<std::string> chunks = figure11SessionChunks(kChunks);
   std::vector<std::string> prefixes(kChunks);
   std::string prefix;
   for (int c = 0; c < kChunks; ++c) {

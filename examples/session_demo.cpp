@@ -27,29 +27,12 @@
 
 namespace {
 
-// The Figure-11 script cut into `chunks` line-balanced batches, each
-// bracketed by `check` so consecutive batches share warm checker state.
+// The Figure-11 script's line-balanced batches, each bracketed by `check`
+// so consecutive batches share warm checker state.
 std::vector<std::string> scriptChunks(int chunks) {
-  const std::string script = nsc::figure11SessionScript();
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < script.size()) {
-    std::size_t end = script.find('\n', start);
-    if (end == std::string::npos) end = script.size() - 1;
-    lines.push_back(script.substr(start, end - start + 1));
-    start = end + 1;
-  }
-  std::vector<std::string> batches(static_cast<std::size_t>(chunks));
-  const std::size_t n = lines.size();
-  for (int c = 0; c < chunks; ++c) {
-    std::string& batch = batches[static_cast<std::size_t>(c)];
-    if (c > 0) batch += "check\n";
-    const std::size_t lo = n * static_cast<std::size_t>(c) /
-                           static_cast<std::size_t>(chunks);
-    const std::size_t hi = n * static_cast<std::size_t>(c + 1) /
-                           static_cast<std::size_t>(chunks);
-    for (std::size_t i = lo; i < hi; ++i) batch += lines[i];
-    batch += "check\n";
+  std::vector<std::string> batches = nsc::figure11SessionChunks(chunks);
+  for (std::size_t c = 0; c < batches.size(); ++c) {
+    batches[c] = (c > 0 ? "check\n" : "") + batches[c] + "check\n";
   }
   return batches;
 }

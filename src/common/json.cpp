@@ -70,10 +70,11 @@ void appendNumber(std::string& out, double v) {
   }
   // Integers print as "%lld" would, everything else as "%.17g" would;
   // std::to_chars writes exactly that text without a format string or an
-  // allocation per number.
+  // allocation per number.  Negative zero takes the "%.17g" path, which
+  // keeps its sign ("-0").
   char buf[32];
   const std::to_chars_result r =
-      std::floor(v) == v && std::abs(v) < 1e15
+      std::floor(v) == v && std::abs(v) < 1e15 && !(v == 0 && std::signbit(v))
           ? std::to_chars(buf, buf + sizeof buf, static_cast<long long>(v))
           : std::to_chars(buf, buf + sizeof buf, v,
                           std::chars_format::general, 17);

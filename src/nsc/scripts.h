@@ -5,10 +5,14 @@
 // stand-in for a human at the Sun-3 working through Figures 5-11.  It
 // mirrors cfd::JacobiProgram's sweep A->B instruction exactly (same units,
 // streams, and DMA programs), which bench/fig11_jacobi_complete.cpp
-// verifies wiring-for-wiring.
+// verifies wiring-for-wiring.  figure11SessionChunks() cuts it into the
+// command batches of a multi-request session.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
+#include <vector>
 
 namespace nsc {
 
@@ -87,6 +91,30 @@ connect fu31.out plane9.write
 dma plane9.write base=0 stride=1 count=1 var=residual
 seq next
 )";
+}
+
+// figure11SessionScript() cut into `chunks` (>= 1) line-balanced command
+// batches: chunk c holds lines [n*c/chunks, n*(c+1)/chunks) of the
+// script's n lines, so the batches concatenate back to the script and
+// their line counts differ by at most one.
+inline std::vector<std::string> figure11SessionChunks(int chunks) {
+  const std::string script = figure11SessionScript();
+  std::vector<std::string> lines;
+  for (std::size_t start = 0; start < script.size();) {
+    const std::size_t end =
+        std::min(script.find('\n', start), script.size() - 1);
+    lines.push_back(script.substr(start, end - start + 1));
+    start = end + 1;
+  }
+  std::vector<std::string> out(static_cast<std::size_t>(chunks));
+  const std::size_t n = lines.size();
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    for (std::size_t i = n * c / out.size(); i < n * (c + 1) / out.size();
+         ++i) {
+      out[c] += lines[i];
+    }
+  }
+  return out;
 }
 
 }  // namespace nsc

@@ -248,14 +248,12 @@ CompiledOperand lowerOperand(const arch::Machine& machine, arch::FuId f,
   return out;
 }
 
-CompiledInstr lowerPlan(const arch::Machine& machine, const InstrPlan& plan,
-                        int instr_index) {
+CompiledInstr lowerPlan(const arch::Machine& machine, const InstrPlan& plan) {
   const arch::MachineConfig& cfg = machine.config();
   CompiledInstr ci;
 
   // Functional units: enabled only, ALS slot order (chain inputs are
   // produced before their consumers within one cycle).
-  std::uint32_t arena = 0;
   for (std::size_t f = 0; f < plan.fu.size(); ++f) {
     const FuPlan& fu = plan.fu[f];
     if (!fu.enabled) continue;
@@ -271,13 +269,9 @@ CompiledInstr lowerPlan(const arch::Machine& machine, const InstrPlan& plan,
     cf.rf_value = fu.rf_value;
     cf.counts_flop = fu.counts_flop;
     cf.out_src = machine.sourceIndex(Endpoint::fuOutput(cf.fu));
-    cf.pipe_off = arena;
     cf.pipe_len = static_cast<std::uint32_t>(std::max(1, fu.latency));
-    arena += cf.pipe_len;
     if (fu.rf_mode == arch::RfMode::kDelay && fu.rf_delay > 0) {
-      cf.rfq_off = arena;
       cf.rfq_len = static_cast<std::uint32_t>(fu.rf_delay);
-      arena += cf.rfq_len;
     }
     ci.fus.push_back(cf);
   }
@@ -360,22 +354,19 @@ CompiledInstr lowerPlan(const arch::Machine& machine, const InstrPlan& plan,
     }
   }
 
-  // Shift/delay units: fixed-depth history rings with precomputed tap
-  // offsets relative to the write position.
+  // Shift/delay units: each tap's delay behind the routed input.  The
+  // history ring holds sd_max_delay + 2 tokens, so a deeper tap wraps.
+  const auto history = static_cast<std::uint32_t>(cfg.sd_max_delay) + 2;
   for (int s = 0; s < cfg.num_shift_delay; ++s) {
     const SdPlan& sd = plan.sd[static_cast<std::size_t>(s)];
     if (!sd.enabled) continue;
     CompiledSd cs;
     cs.in_dst = machine.destinationIndex(Endpoint::sdInput(s));
-    cs.hist_off = arena;
-    cs.hist_len = static_cast<std::uint32_t>(cfg.sd_max_delay) + 2;
-    arena += cs.hist_len;
     for (std::size_t t = 0; t < sd.taps.size(); ++t) {
       CompiledSdTap tap;
       tap.src = machine.sourceIndex(
           Endpoint::sdOutput(s, static_cast<int>(t)));
-      const std::uint32_t n = cs.hist_len;
-      tap.back = n - 1 - static_cast<std::uint32_t>(sd.taps[t]) % n;
+      tap.delay = static_cast<std::uint32_t>(sd.taps[t]) % history;
       cs.taps.push_back(tap);
     }
     ci.sds.push_back(std::move(cs));
@@ -394,8 +385,6 @@ CompiledInstr lowerPlan(const arch::Machine& machine, const InstrPlan& plan,
     ci.cond_src = machine.sourceIndex(Endpoint::fuOutput(plan.cond_src_fu));
     ci.cond_reg = plan.cond_reg;
   }
-  ci.ring_slots = arena;
-  (void)instr_index;
   return ci;
 }
 
@@ -446,8 +435,7 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
   for (std::size_t i = 0; i < exe.words.size(); ++i) {
     program->plans.push_back(
         decodePlan(machine, table, rf_images, exe.words[i]));
-    program->instrs.push_back(
-        lowerPlan(machine, program->plans.back(), static_cast<int>(i)));
+    program->instrs.push_back(lowerPlan(machine, program->plans.back()));
   }
 
   // One window analysis per instruction feeds both the verifier (its

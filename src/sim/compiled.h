@@ -18,11 +18,12 @@
 // and turns it into the instruction's value program (sim/value_program.h):
 // its loads, evaluations and stores, each active on one cycle window.
 // LaneState::executeCompiledBatch (sim/lane_state.h) runs value programs
-// for a NodeSim and for every lane group alike; a traced run steps the
-// CompiledInstr cycle by cycle instead.  The legacy cycle interpreter
-// (NodeSim::execute, the test-only oracle behind NodeOptions::use_compiled
-// = false) walks the InstrPlans.  The golden tests in test_compiled.cpp pin
-// them to bit-identical InstrStats and memory contents.
+// for a NodeSim and for every lane group alike.  The legacy cycle
+// interpreter (NodeSim::execute) walks the InstrPlans; it is the test-only
+// oracle behind NodeOptions::use_compiled = false, and it runs every traced
+// NodeSim, because it builds the debugger's frames.  The golden tests in
+// test_compiled.cpp pin the two to bit-identical InstrStats and memory
+// contents.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +43,8 @@ struct ValueProgram;  // sim/value_program.h
 
 // Drain budget for read-only pipelines: enough cycles for every FU latency
 // in the machine plus the register-file and shift/delay queue depths.  The
-// interpreter, the stepper and the value-program builder share this so the
-// completion rule cannot drift between them.
+// interpreter and the value-program builder share this so the completion
+// rule cannot drift between them.
 inline std::uint64_t drainBudget(const arch::MachineConfig& cfg) {
   return 64 + static_cast<std::uint64_t>(cfg.rf_max_delay) +
          static_cast<std::uint64_t>(cfg.sd_max_delay);
@@ -130,9 +131,8 @@ struct CompiledFu {
   double rf_value = 0.0;          // constant / accumulator seed
   bool counts_flop = false;
   std::int32_t out_src = 0;  // src_out index of fuOutput(fu)
-  // Ring layout inside the per-instruction token arena.
-  std::uint32_t pipe_off = 0, pipe_len = 1;
-  std::uint32_t rfq_off = 0, rfq_len = 0;  // 0 = no delay queue
+  std::uint32_t pipe_len = 1;  // pipeline latency in cycles
+  std::uint32_t rfq_len = 0;   // delay-queue depth; 0 = no delay queue
 };
 
 // One active DMA engine (read or write; planes and caches share the shape).
@@ -151,12 +151,13 @@ struct CompiledDma {
 
 struct CompiledSdTap {
   std::int32_t src = 0;     // src_out index of the tap endpoint
-  std::uint32_t back = 0;   // ring offset ahead of the write position
+  // Cycles between the unit's routed input and this tap: the programmed
+  // tap modulo the history ring's sd_max_delay + 2 tokens.
+  std::uint32_t delay = 0;
 };
 
 struct CompiledSd {
   std::int32_t in_dst = 0;  // dst_in index feeding the history ring
-  std::uint32_t hist_off = 0, hist_len = 1;
   std::vector<CompiledSdTap> taps;
 };
 
@@ -186,7 +187,6 @@ struct CompiledInstr {
   bool cond_enable = false;
   std::int32_t cond_src = -1;  // src_out index watched by the latch
   std::int32_t cond_reg = 0;
-  std::uint32_t ring_slots = 0;  // total token-arena size for this instr
   // The instruction as windowed loads, evaluations and stores, built once
   // at compile from the verifier's windows (sim/value_program.h).  Null
   // only for an instruction that faults at issue.

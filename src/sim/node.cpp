@@ -112,7 +112,7 @@ void NodeSim::readCacheInto(arch::CacheId cache, int buffer,
 
 // ---------------------------------------------------------------------------
 // Execute (legacy interpreter — the semantic oracle that compiled execution
-// in lane_state.cpp is golden-tested against)
+// in lane_state.cpp is golden-tested against, and the engine of traced runs)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -578,11 +578,11 @@ InstrStats NodeSim::stepInstruction() {
   static const std::string kUnnamed;
   const std::string& name =
       slot < program_->names.size() ? program_->names[slot] : kUnnamed;
+  // Traced runs take the interpreter: it builds the debugger's frames.
   InstrStats stats =
-      options_.use_compiled
+      options_.use_compiled && !trace_
           ? state_.executeCompiledBatch(program_->instrs[slot], index, name,
-                                        options_.max_cycles_per_instruction,
-                                        trace_ ? &trace_ : nullptr)
+                                        options_.max_cycles_per_instruction)
           : execute(program_->plans[slot], index, name);
   if (!stats.error) {
     applySequencer(program_->plans[slot]);

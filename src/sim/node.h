@@ -19,13 +19,13 @@
 // verification and value programs run once; SPMD systems share one image
 // across all nodes).  The node's memory is a one-lane sim::LaneState, and
 // instructions execute as value programs (LaneState::executeCompiledBatch
-// at W = 1) — the same code that runs ensemble and hypercube lane groups;
-// with a trace sink attached they take the per-cycle stepper, which builds
-// the debugger's frames.  The legacy interpreter (NodeOptions::use_compiled
-// = false) re-walks the decoded plans per cycle over the same state and is
-// kept as the test-only semantic oracle: all produce bit-identical
-// InstrStats, trace frames, and memory contents (test_compiled.cpp golden
-// tests).
+// at W = 1) — the same code that runs ensemble and hypercube lane groups.
+// The legacy interpreter (execute) re-walks the decoded plans per cycle
+// over the same state.  It is the test-only semantic oracle behind
+// NodeOptions::use_compiled = false, and it runs every instruction of a
+// node with a trace sink attached, because it builds the debugger's
+// frames.  Both produce bit-identical InstrStats and memory contents
+// (test_compiled.cpp golden tests).
 //
 // Determinism: the simulator is single-threaded and fully deterministic;
 // all state is reset per instruction except memory planes, caches,
@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -44,8 +45,20 @@
 #include "sim/compiled.h"
 #include "sim/lane_state.h"
 #include "sim/stats.h"
+#include "sim/token.h"
 
 namespace nsc::sim {
+
+// One cycle of observable dataflow, for the visual debugger (paper,
+// Section 6: "each new instruction would display the corresponding pipeline
+// diagram, annotated to show data values flowing through the pipeline").
+struct TraceFrame {
+  int instruction = 0;
+  std::uint64_t cycle = 0;
+  // Token per switch source endpoint, indexed like Machine::sources().
+  std::vector<Token> source_tokens;
+};
+using TraceSink = std::function<void(const TraceFrame&)>;
 
 struct NodeOptions {
   std::uint64_t max_cycles_per_instruction = 64ull * 1024 * 1024;
@@ -164,6 +177,8 @@ class NodeSim final : public ReplicaStore {
   // subsequent load+run behave bit-identically to the snapshotted node.
   void restoreSnapshot(Snapshot snapshot);
 
+  // With a sink attached, every instruction runs on the interpreter, which
+  // hands the sink one frame per simulated cycle.
   void setTraceSink(TraceSink sink) { trace_ = std::move(sink); }
 
  private:

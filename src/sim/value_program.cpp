@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 #include <tuple>
 
 namespace nsc::sim {
@@ -76,13 +77,10 @@ class Builder {
             n_reads_ + static_cast<std::int32_t>(k));
     }
     for (std::size_t s = 0; s < ci.sds.size(); ++s) {
-      const CompiledSd& sd = ci.sds[s];
-      for (const CompiledSdTap& tap : sd.taps) {
-        // The tap observes the routed input delayed by (delay % hist_len).
-        const std::uint32_t delay = sd.hist_len - 1 - tap.back % sd.hist_len;
+      for (const CompiledSdTap& tap : ci.sds[s].taps) {
         setAt(src_tap_, tap.src,
               std::pair<std::int32_t, std::uint32_t>{
-                  static_cast<std::int32_t>(s), delay});
+                  static_cast<std::int32_t>(s), tap.delay});
       }
     }
     for (const auto& [dst, src] : ci.routes) setAt(dst_route_, dst, src);
@@ -525,7 +523,12 @@ std::size_t ValueProgram::bytes() const {
 std::shared_ptr<const ValueProgram> buildValueProgram(
     const arch::Machine& machine, const CompiledInstr& ci,
     const InstrWindows& windows) {
-  if (ci.fault.kind != FaultKind::kNone || !windows.converged) return nullptr;
+  if (ci.fault.kind != FaultKind::kNone) return nullptr;
+  // The window combinators are strict (sim/verify.cpp), so the fixpoint
+  // always converges; an instruction without windows has no engine to run.
+  if (!windows.converged) {
+    throw std::logic_error("value program: window analysis did not converge");
+  }
   return Builder(machine, ci, windows).build();
 }
 

@@ -25,13 +25,13 @@
 // engine or an idle unit emits zero, and a pipeline not yet filled holds
 // zero.  The builder splits such an operand's window into pieces that read
 // the zero column, the producing accumulator's seed, its ring, or its
-// accumulator column, so the operation sees exactly what the stepper would
-// hand it.
+// accumulator column, so the operation sees exactly what the interpreter
+// (NodeSim::execute) hands it.
 //
 // The list does not grow with stream length: an operation is one entry
 // however many cycles it is active.  A run walks the cycle range as
 // segments (maximal runs of cycles with one active set) and executes each
-// cycle's operations in the stepper's phase order — loads, units in ALS
+// cycle's operations in the interpreter's phase order — loads, units in ALS
 // slot order, stores, latch — with W-wide lane loops, so an instruction
 // that reads and writes one plane sees the same values.  Completion,
 // flops, hazards and per-unit launches are build-time facts; a run only
@@ -128,9 +128,10 @@ struct ValueProgram {
 };
 
 // Builds the value program of one lowered instruction from its windows
-// (analyzeWindows(machine, ci)).  Declines (returns null) only an
-// instruction that faults at issue — it never steps — or one whose window
-// fixpoint did not converge, which the strict window combinators rule out.
+// (analyzeWindows(machine, ci)).  Returns null only for an instruction that
+// faults at issue, which never runs.  A window fixpoint that did not
+// converge, which the strict window combinators rule out, throws
+// std::logic_error.
 std::shared_ptr<const ValueProgram> buildValueProgram(
     const arch::Machine& machine, const CompiledInstr& ci,
     const InstrWindows& windows);

@@ -251,10 +251,7 @@ void sweepWindows(const CompiledInstr& ci, WindowState& state) {
   for (const CompiledSd& sd : ci.sds) {
     const CycleWindow base = state.dstAt(sd.in_dst);
     for (const CompiledSdTap& tap : sd.taps) {
-      // tap.back = hist_len - 1 - (delay % hist_len); the tap observes the
-      // routed input stream delayed by (delay % hist_len) cycles.
-      const std::uint32_t delay = sd.hist_len - 1 - tap.back % sd.hist_len;
-      state.setSrc(tap.src, shiftWindow(base, delay));
+      state.setSrc(tap.src, shiftWindow(base, tap.delay));
     }
   }
   for (const CompiledFu& fu : ci.fus) {
@@ -343,7 +340,7 @@ void ProgramVerifier::verifyInstr(const CompiledProgram& program,
   }
 
   // Ring-capacity over-subscription: lowered queue and tap depths beyond
-  // the hardware rings.  The simulator sizes its arenas from the program,
+  // the hardware rings.  The simulator sizes its rings from the program,
   // so these still execute deterministically — but no NSC node could run
   // them, which makes this an error (hardware-infeasible), not a warning.
   for (const CompiledFu& fu : ci.fus) {

@@ -224,13 +224,14 @@ TEST(JsonTest, NonFiniteTokensRejectTrailingGarbage) {
   EXPECT_FALSE(Json::parse("Infinity7").isOk());
 }
 
-// Numbers print as "%lld" (integers below 1e15) or "%.17g" would print
-// them, and parse as strtod would read them.
+// Numbers print as "%lld" (integers below 1e15, except negative zero) or
+// "%.17g" would print them, and parse as strtod would read them.
 TEST(JsonTest, NumbersMatchPrintfAndStrtod) {
   const double two53 = 9007199254740992.0;
   const double denorm = std::numeric_limits<double>::denorm_min();
   EXPECT_EQ(Json(0.0).dump(), "0");
-  EXPECT_EQ(Json(-0.0).dump(), "0");
+  EXPECT_EQ(Json(-0.0).dump(), "-0");
+  EXPECT_TRUE(std::signbit(Json::parse(Json(-0.0).dump()).value().asDouble()));
   EXPECT_EQ(Json(two53).dump(), "9007199254740992");
   EXPECT_EQ(Json(-two53).dump(), "-9007199254740992");
   EXPECT_EQ(Json(999999999999999.0).dump(), "999999999999999");
@@ -272,7 +273,8 @@ TEST(JsonTest, NumbersMatchPrintfAndStrtod) {
     }
     if (!std::isfinite(v)) continue;
     const std::string want =
-        std::floor(v) == v && std::abs(v) < 1e15
+        std::floor(v) == v && std::abs(v) < 1e15 &&
+                !(v == 0 && std::signbit(v))
             ? strFormat("%lld", static_cast<long long>(v))
             : strFormat("%.17g", v);
     ASSERT_EQ(Json(v).dump(), want);

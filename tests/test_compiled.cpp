@@ -1,16 +1,17 @@
 // Golden cycle-exactness tests for compiled execution.
 //
 // Compiled execution (LaneState::executeCompiledBatch, sim/lane_state.cpp:
-// the instruction's value program, or the stepper for a traced run) must be
-// indistinguishable from the legacy per-cycle interpreter
-// (NodeSim::execute): identical per-instruction cycles/flops/hazards,
-// identical fu_launches, identical memory-plane and cache contents,
-// identical trace frames, identical error behavior.  These tests run the
-// same executables through both — NodeOptions::use_compiled selects the
-// executor — and compare everything observable, on the paper's Figure-11
-// Jacobi workload and on targeted corner cases (condition latch,
+// the instruction's value program) must be indistinguishable from the
+// legacy per-cycle interpreter (NodeSim::execute): identical
+// per-instruction cycles/flops/hazards, identical fu_launches, identical
+// memory-plane and cache contents, identical error behavior.  These tests
+// run the same executables through both — NodeOptions::use_compiled selects
+// the executor — and compare everything observable, on the paper's
+// Figure-11 Jacobi workload and on targeted corner cases (condition latch,
 // accumulator drain, timeout, DMA faults, truncated runs, values carried by
 // invalid tokens), at one lane (a NodeSim) and at W lanes (a ReplicaBatch).
+// A traced NodeSim runs the interpreter; the TracedRun tests pin its frames
+// to the simulated cycles and its results to an untraced node's.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -199,9 +200,57 @@ TEST(CompiledGolden, ReadOnlyDrainWithAccumulatorAndLatch) {
   EXPECT_TRUE(compiled.cond(2));  // max = 50 > 0.5
 }
 
-// The visual debugger consumes per-cycle trace frames; both engines must
-// emit identical streams (instruction, cycle, and every source token).
-TEST(CompiledGolden, TraceFramesMatch) {
+// A traced NodeSim runs the interpreter, which builds the visual debugger's
+// frames.  Its run must hand the sink exactly one frame per simulated cycle,
+// in (instruction, cycle) order, and end where an untraced node running
+// value programs ends: the same RunStats, planes, caches, condition
+// registers and sequencer state.  Returns the frames.
+std::vector<sim::TraceFrame> runTracedAgainstUntraced(
+    const Machine& machine, const mc::Executable& exe,
+    const std::function<void(NodeSim&)>& seed, std::uint64_t plane_words) {
+  NodeSim traced(machine);
+  NodeSim untraced(machine);
+  traced.load(exe);
+  untraced.load(exe);
+  seed(traced);
+  seed(untraced);
+  std::vector<sim::TraceFrame> frames;
+  traced.setTraceSink(
+      [&frames](const sim::TraceFrame& f) { frames.push_back(f); });
+  const sim::RunStats traced_run = traced.run();
+  const sim::RunStats untraced_run = untraced.run();
+  EXPECT_FALSE(untraced_run.error) << untraced_run.error_message;
+
+  expectIdenticalRuns(untraced_run, traced_run);
+  expectIdenticalMemory(machine, untraced, traced, plane_words);
+  EXPECT_EQ(untraced.pc(), traced.pc());
+  EXPECT_EQ(untraced.halted(), traced.halted());
+  for (int reg = 0; reg < 4; ++reg) {
+    EXPECT_EQ(untraced.cond(reg), traced.cond(reg)) << "cond reg " << reg;
+  }
+
+  EXPECT_EQ(frames.size(), traced_run.total_cycles);
+  std::size_t f = 0;
+  for (const sim::InstrStats& instr : traced_run.trace) {
+    for (std::uint64_t c = 0; c < instr.cycles && f < frames.size();
+         ++c, ++f) {
+      const sim::TraceFrame& frame = frames[f];
+      if (frame.instruction != instr.instruction || frame.cycle != c ||
+          frame.source_tokens.size() != machine.sources().size()) {
+        ADD_FAILURE() << "frame " << f << " is (instruction "
+                      << frame.instruction << ", cycle " << frame.cycle
+                      << "), expected (" << instr.instruction << ", " << c
+                      << ")";
+        return frames;
+      }
+    }
+  }
+  return frames;
+}
+
+// A two-unit scale pipeline: the add unit's valid output tokens, frame by
+// frame, are exactly the words its write engine stores.
+TEST(TracedRun, ScalePipelineOneFramePerCycle) {
   const Machine machine;
   const int n = 24;
   prog::Program p;
@@ -229,37 +278,50 @@ TEST(CompiledGolden, TraceFramesMatch) {
   const mc::GenerateResult gen = generator.generate(p);
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
-  const auto runTraced = [&](bool use_compiled) {
-    sim::NodeSim::Options options;
-    options.use_compiled = use_compiled;
-    NodeSim node(machine, options);
-    node.load(gen.exe);
-    node.writePlane(0, 0, test::iota(n, 1.0, 0.5));
-    node.writePlane(1, 0, test::iota(n, -2.0, 0.125));
-    std::vector<sim::TraceFrame> frames;
-    node.setTraceSink(
-        [&frames](const sim::TraceFrame& f) { frames.push_back(f); });
-    const sim::RunStats run = node.run();
-    EXPECT_FALSE(run.error) << run.error_message;
-    return frames;
-  };
+  const std::vector<double> a = test::iota(n, 1.0, 0.5);
+  const std::vector<double> b = test::iota(n, -2.0, 0.125);
+  const std::vector<sim::TraceFrame> frames = runTracedAgainstUntraced(
+      machine, gen.exe,
+      [&](NodeSim& node) {
+        node.writePlane(0, 0, a);
+        node.writePlane(1, 0, b);
+      },
+      n);
 
-  const std::vector<sim::TraceFrame> legacy = runTraced(false);
-  const std::vector<sim::TraceFrame> compiled = runTraced(true);
-  ASSERT_EQ(legacy.size(), compiled.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].instruction, compiled[i].instruction) << "frame " << i;
-    EXPECT_EQ(legacy[i].cycle, compiled[i].cycle) << "frame " << i;
-    ASSERT_EQ(legacy[i].source_tokens.size(), compiled[i].source_tokens.size());
-    for (std::size_t t = 0; t < legacy[i].source_tokens.size(); ++t) {
-      const sim::Token& a = legacy[i].source_tokens[t];
-      const sim::Token& b = compiled[i].source_tokens[t];
-      EXPECT_EQ(a.value, b.value) << "frame " << i << " token " << t;
-      EXPECT_EQ(a.valid, b.valid) << "frame " << i << " token " << t;
-      EXPECT_EQ(a.last, b.last) << "frame " << i << " token " << t;
-      EXPECT_EQ(a.index, b.index) << "frame " << i << " token " << t;
-    }
+  const auto add_out =
+      static_cast<std::size_t>(machine.sourceIndex(Endpoint::fuOutput(add)));
+  std::vector<double> emitted;
+  for (const sim::TraceFrame& frame : frames) {
+    const sim::Token& tok = frame.source_tokens[add_out];
+    if (tok.valid) emitted.push_back(tok.value);
   }
+  std::vector<double> stored(n);
+  for (int i = 0; i < n; ++i) stored[i] = 3.0 * a[i] + b[i];  // exact
+  EXPECT_EQ(emitted, stored);
+}
+
+// The Figure-11 program in fixed-sweep mode: shift/delay taps, the
+// residual accumulator and the condition latch, over every instruction.
+TEST(TracedRun, Figure11FixedSweepsOneFramePerCycle) {
+  cfd::JacobiBuildOptions options;
+  options.grid = {8, 8, 8};
+  options.h = 1.0 / 7.0;
+  options.convergence_mode = false;
+  options.fixed_sweeps = 2;
+  const Machine machine;
+  const cfd::JacobiProgram jacobi(machine, options);
+  const cfd::PoissonProblem problem = cfd::PoissonProblem::manufactured(
+      options.grid.nx, options.grid.ny, options.grid.nz);
+  mc::Generator generator(machine);
+  const mc::GenerateResult gen = generator.generate(jacobi.program());
+  ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
+  const std::uint64_t words =
+      static_cast<std::uint64_t>(options.grid.N()) +
+      2 * static_cast<std::uint64_t>(jacobi.layout().pad);
+  const std::vector<sim::TraceFrame> frames = runTracedAgainstUntraced(
+      machine, gen.exe,
+      [&](NodeSim& node) { jacobi.load(node, problem); }, words);
+  EXPECT_EQ(frames.size(), 1675u);
 }
 
 // A DMA pattern that provably walks past the simulated plane capacity must
@@ -384,8 +446,8 @@ TEST(CompiledProgram, SharedAcrossHypercubeNodes) {
 // ---------------------------------------------------------------------------
 
 // Runs `gen` through a ReplicaBatch of `lanes` lanes and through `lanes`
-// interpreter NodeSims (an oracle independent of the stepper), seeding lane
-// w on both paths through the same ReplicaStore callback, then pins
+// interpreter NodeSims (an oracle independent of value programs), seeding
+// lane w on both paths through the same ReplicaStore callback, then pins
 // everything observable identical.
 void runBatchGolden(const Machine& machine, const mc::GenerateResult& gen,
                     int lanes, std::uint64_t plane_words,
@@ -789,7 +851,7 @@ TEST(ValueProgramGolden, Figure11SweepProgramSize) {
   EXPECT_EQ(vp.segments.size(), 27u);
   EXPECT_EQ(vp.columns, 315u);
   EXPECT_EQ(vp.bytes(), 3586u);
-  // Every instruction of the program has one; none takes the stepper.
+  // Every instruction of the program has one.
   for (const sim::CompiledInstr& ci : program->instrs) {
     EXPECT_NE(ci.value, nullptr);
   }

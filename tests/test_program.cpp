@@ -2,6 +2,7 @@
 // the timing analysis / delay balancing.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 
 #include "program/program.h"
@@ -145,6 +146,28 @@ TEST(SerializationTest, ProgramFileRoundTrip) {
   ASSERT_TRUE(back.isOk()) << back.message();
   EXPECT_EQ(back.value(), p);
   std::remove(path.c_str());
+}
+
+// Program::operator== compares constants by value, so -0.0 == 0.0 would
+// hide a save/load that drops the sign; check the bits.
+TEST(SerializationTest, ProgramRoundTripKeepsNegativeZeroConstant) {
+  Machine m;
+  Program p;
+  p.name = "signed-zero";
+  PipelineDiagram& d = p.append("scale");
+  const arch::FuId f = m.als(firstDoublet(m)).fus[0];
+  d.setFuOp(m, f, OpCode::kMul);
+  d.connect(m, Endpoint::planeRead(0), Endpoint::fuInput(f, 0));
+  d.setConstInput(m, f, 1, -0.0);
+
+  const auto parsed = common::Json::parse(p.toJson().dumpPretty());
+  ASSERT_TRUE(parsed.isOk());
+  const auto back = Program::fromJson(parsed.value());
+  ASSERT_TRUE(back.isOk()) << back.message();
+  const FuUse* use = back.value().pipelines[0].findFu(m, f);
+  ASSERT_NE(use, nullptr);
+  EXPECT_EQ(use->rf_constant, 0.0);
+  EXPECT_TRUE(std::signbit(use->rf_constant));
 }
 
 TEST(SerializationTest, RejectsWrongHeader) {

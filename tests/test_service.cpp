@@ -483,9 +483,9 @@ TEST(ServiceTest, EnsembleMatchesWorkbenchEnsemble) {
   }
 }
 
-// The RunEnsemble lane knob reaches the batched stepper and the execution
-// split is surfaced in RequestStats; batched replies stay bit-identical to
-// lanes = 1 (one replica per batch, counted scalar).
+// The RunEnsemble lane knob reaches the batch engine's lane width and the
+// execution split is surfaced in RequestStats; batched replies stay
+// bit-identical to lanes = 1 (one replica per batch, counted scalar).
 TEST(ServiceTest, EnsembleLanesSurfaceInStatsAndMatchScalar) {
   const std::string script = tripleScript(3.0);
   WorkbenchService service(ServiceOptions{});

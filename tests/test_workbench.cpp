@@ -1,6 +1,8 @@
 // Workbench + visual debugger tests: the assembled Figure-3 system.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "nsc/nsc.h"
 
 namespace nsc {
@@ -360,6 +362,26 @@ seq halt
       debugger.endpointHistory(arch::Endpoint::sdOutput(0, 1));
   // The deep tap shows '-' (invalid) in its first cycles.
   EXPECT_NE(history.find(" -"), std::string::npos);
+}
+
+// The shared session chunker: the batches concatenate back to the script,
+// and their line counts differ by at most one.
+TEST(ScriptsTest, Figure11SessionChunksAreLineBalanced) {
+  const std::string script = figure11SessionScript();
+  for (const int chunks : {1, 4, 8, 13}) {
+    const std::vector<std::string> batches = figure11SessionChunks(chunks);
+    ASSERT_EQ(batches.size(), static_cast<std::size_t>(chunks));
+    std::string joined;
+    std::vector<std::ptrdiff_t> lines;
+    for (const std::string& batch : batches) {
+      joined += batch;
+      lines.push_back(std::count(batch.begin(), batch.end(), '\n'));
+    }
+    EXPECT_EQ(joined, script) << chunks << " chunks";
+    const auto [fewest, most] = std::minmax_element(lines.begin(), lines.end());
+    EXPECT_LE(*most - *fewest, 1) << chunks << " chunks";
+    EXPECT_GE(*fewest, 1) << chunks << " chunks";
+  }
 }
 
 }  // namespace

@@ -113,31 +113,6 @@ std::vector<svc::PlaneRange> figure11Outputs() {
   return {svc::PlaneRange{4, 161, 366}, svc::PlaneRange{9, 0, 1}};
 }
 
-// Figure-11 script cut into `chunks` line-balanced batches.
-std::vector<std::string> figure11Chunks(int chunks) {
-  const std::string script = figure11SessionScript();
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < script.size()) {
-    std::size_t end = script.find('\n', start);
-    if (end == std::string::npos) end = script.size() - 1;
-    lines.push_back(script.substr(start, end - start + 1));
-    start = end + 1;
-  }
-  std::vector<std::string> out(static_cast<std::size_t>(chunks));
-  const std::size_t n = lines.size();
-  for (int c = 0; c < chunks; ++c) {
-    const std::size_t lo = n * static_cast<std::size_t>(c) /
-                           static_cast<std::size_t>(chunks);
-    const std::size_t hi = n * static_cast<std::size_t>(c + 1) /
-                           static_cast<std::size_t>(chunks);
-    for (std::size_t i = lo; i < hi; ++i) {
-      out[static_cast<std::size_t>(c)] += lines[i];
-    }
-  }
-  return out;
-}
-
 svc::SessionCommand chunkCommand(std::uint64_t session,
                                  const std::vector<std::string>& chunks,
                                  int c) {
@@ -263,7 +238,7 @@ int main(int argc, char** argv) {
     return flags.bad ? 2 : 0;
   }
 
-  const std::vector<std::string> chunks = figure11Chunks(flags.chunks);
+  const std::vector<std::string> chunks = figure11SessionChunks(flags.chunks);
   std::string reference;
   if (flags.verify) reference = inProcessReference(chunks);
 

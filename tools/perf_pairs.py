@@ -10,10 +10,13 @@ Each pair runs `python3 perfbench/run.py --workload W --seed N --seconds S
 Around every run the tool reads /proc/stat and records the run's steal
 share: the growth of the steal column over the growth of all columns.
 
-A run is valid when it exits 0, invalid when it exits non-zero with no
-failed operation (perfbench's validity rules: too few samples, a late load
-generator, ...), and failed when any operation failed (a wrong answer) or
-no result line came back.
+A run is valid when it exits 0; failed when any operation failed, its
+witness counts differ from an earlier run of the same sources (both are
+wrong answers), or no result line came back; and invalid when it exits
+non-zero otherwise (perfbench's validity rules: too few samples, a late
+load generator, ...).  The lines that explain a run that is not valid —
+perfbench's INVALID lines, its witness MISMATCH line, and its error_rate
+line when it names a first error — are kept as the run's reasons.
 
 The summary covers every end-to-end metric of BENCHMARK.json over the pairs
 whose two runs are both valid: parent and head medians, the parent's
@@ -51,16 +54,26 @@ def steal_share(before, after):
     return delta[7] / total if total > 0 and len(delta) > 7 else 0.0
 
 
-def classify(code, result):
+def is_mismatch(line):
+    return line.startswith("witness MISMATCH")
+
+
+def classify(code, result, reasons=()):
     if result is None:
         return "failed"
-    if result.get("failed", 0) > 0:
+    if result.get("failed", 0) > 0 or any(map(is_mismatch, reasons)):
         return "failed"
     return "valid" if code == 0 else "invalid"
 
 
+def is_reason(line):
+    return (line.startswith("INVALID") or is_mismatch(line) or
+            (line.startswith("error_rate") and "first error:" in line))
+
+
 def parse_output(stdout):
-    """(result object or None, INVALID lines) from a perfbench stdout."""
+    """(result object or None, reason lines, witness counts) from a
+    perfbench stdout."""
     lines = stdout.strip().splitlines()
     result = None
     if lines:
@@ -68,8 +81,13 @@ def parse_output(stdout):
             result = json.loads(lines[-1])
         except ValueError:
             result = None
-    reasons = [line for line in lines if line.startswith("INVALID")]
-    return result, reasons
+    reasons = [line for line in lines if is_reason(line)]
+    witnesses = {}
+    for line in lines:
+        parts = line.split()
+        if len(parts) == 4 and parts[0] == "witness" and parts[2] == "=":
+            witnesses[parts[1]] = int(parts[3])
+    return result, reasons, witnesses
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -80,14 +98,15 @@ def run_once(checkout, workload, seed, seconds):
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     after = read_cpu_jiffies()
-    result, reasons = parse_output(proc.stdout)
+    result, reasons, witnesses = parse_output(proc.stdout)
     return {
         "code": proc.returncode,
         "steal": steal_share(before, after),
         "wall_s": time.time() - start,
         "result": result,
         "reasons": reasons,
-        "class": classify(proc.returncode, result),
+        "witnesses": witnesses,
+        "class": classify(proc.returncode, result, reasons),
     }
 
 
@@ -136,6 +155,18 @@ def summarize(pairs, spec):
     return rows, len(both)
 
 
+def witness_sets(pairs):
+    """Each side's distinct witness counts, in order of first appearance
+    (one set per side when every run agrees)."""
+    sets = {"parent": [], "head": []}
+    for pair in pairs:
+        for side, found in sets.items():
+            w = pair[side]["witnesses"]
+            if w not in found:
+                found.append(w)
+    return sets
+
+
 def report(pairs, spec, out=sys.stdout):
     rows, n_both = summarize(pairs, spec)
     print("pairs with both runs valid: %d of %d" % (n_both, len(pairs)),
@@ -148,6 +179,10 @@ def report(pairs, spec, out=sys.stdout):
               (r["metric"], r["parent_median"], r["head_median"],
                r["parent_iqr"], r["ratio"], r["won"], r["pairs"],
                r["better"]), file=out)
+    for side, sets in witness_sets(pairs).items():
+        print("%s witness counts: %s" % (
+            side, " | ".join(" ".join("%s=%d" % kv for kv in sorted(w.items()))
+                             for w in sets)), file=out)
     for side in ("parent", "head"):
         bad = [(i, p[side]) for i, p in enumerate(pairs)
                if p[side]["class"] != "valid"]
@@ -167,14 +202,17 @@ def self_test():
         {"name": "throughput_rps", "unit": "1/s", "better": "higher"},
     ]}
 
-    def line(cpu, rps, code=0, failed=0):
+    def line(cpu, rps, code=0, failed=0, text=None):
         result = {"correct": code == 0, "attempted": 10, "failed": failed,
                   "metrics": {"cpu_ms_per_op": {"value": cpu, "unit": "ms"},
                               "throughput_rps": {"value": rps, "unit": "1/s"}}}
-        text = "stamp: ...\nINVALID: late generator\n" if code else "x\n"
-        parsed, reasons = parse_output(text + json.dumps(result) + "\n")
+        if text is None:
+            text = "stamp: ...\nINVALID: late generator\n" if code else "x\n"
+        parsed, reasons, witnesses = parse_output(
+            text + json.dumps(result) + "\n")
         return {"code": code, "steal": 0.02, "result": parsed,
-                "reasons": reasons, "class": classify(code, parsed)}
+                "reasons": reasons, "witnesses": witnesses,
+                "class": classify(code, parsed, reasons)}
 
     parent_cpu = [10.0, 12.0, 11.0, 13.0, 9.0]
     head_cpu = [5.0, 6.0, 5.5, 14.0, 4.0]
@@ -189,6 +227,28 @@ def self_test():
     assert pairs[-2]["head"]["reasons"] == ["INVALID: late generator"]
     assert pairs[-1]["parent"]["class"] == "failed"
     assert classify(0, None) == "failed"
+    # A changed witness count is a wrong answer, not a host problem: exit 1
+    # with no failed operation still classifies as failed, and the
+    # MISMATCH line and a first-error line stay among the reasons.
+    mismatch = ("error_rate=0.000000 (0 failed of 10 attempted)\n"
+                "witness solve.cycles = 7\n"
+                "witness MISMATCH against w.txt (an earlier run of these "
+                "sources)\n")
+    pairs.append({"parent": line(1.0, 1.0),
+                  "head": line(1.0, 1.0, code=1, text=mismatch)})
+    assert pairs[-1]["head"]["class"] == "failed"
+    assert pairs[-1]["head"]["reasons"] == [
+        "witness MISMATCH against w.txt (an earlier run of these sources)"]
+    assert pairs[-1]["head"]["witnesses"] == {"solve.cycles": 7}
+    assert witness_sets(pairs) == {"parent": [{}], "head": [{},
+                                                            {"solve.cycles": 7}]}
+    first_error = ("error_rate=0.100000 (1 failed of 10 attempted); first "
+                   "error: reply 3 differs\n")
+    failed_run = line(1.0, 1.0, code=1, failed=1, text=first_error)
+    assert failed_run["class"] == "failed"
+    assert failed_run["reasons"] == [first_error.strip()]
+    assert line(1.0, 1.0, text="error_rate=0.000000 (0 failed of 10 "
+                "attempted)\n")["reasons"] == []
     assert abs(steal_share([10, 0, 0, 0, 0, 0, 0, 0], [20, 0, 0, 0, 0, 0, 0, 10])
                - 0.5) < 1e-12
 
